@@ -6,7 +6,6 @@ canonical per-row frontier states. Runtime is linear in the number of
 points and exponential only in the number of distinct horizontal lines.
 """
 
-from .bench import BenchRecord, run_bench
 from .generate import SplitMix64, gen_instance
 from .geometry import (
     EdgeEvent,
@@ -48,21 +47,19 @@ from .states import (
     render_state,
     super_catalan,
 )
-from .steiner import SteinerSolution, SteinerTree, solve_steiner, steiner_transition
-from .sweep import SweepStats, SweepTrace, reconstruct, replay, run_sweep
+from .steiner import SteinerSolution, SteinerTree, solve_steiner
+from .tables import SweepStats
 from .tsp import (
     TourSubgraph,
     TspSolution,
     orient_tour,
     solve_tsp,
-    tsp_transition,
     validate_tour_subgraph,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord",
     "EdgeEvent",
     "HananGrid",
     "Instance",
@@ -73,7 +70,6 @@ __all__ = [
     "SteinerSolution",
     "SteinerTree",
     "SweepStats",
-    "SweepTrace",
     "TourSubgraph",
     "TspFrontierState",
     "TspSolution",
@@ -96,21 +92,15 @@ __all__ = [
     "parse_instance",
     "parse_solution",
     "parse_state",
-    "reconstruct",
     "render_state",
     "render_svg",
-    "replay",
     "resolve_edges",
-    "run_bench",
-    "run_sweep",
     "solve_steiner",
     "solve_tsp",
     "steiner_exhaustive",
     "steiner_oracle",
-    "steiner_transition",
     "super_catalan",
     "tsp_bruteforce",
-    "tsp_transition",
     "validate_tour_subgraph",
     "write_instance",
 ]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import run_bench
 from .errors import GuardExceeded, InputError, InternalInfeasibleError
 from .generate import gen_instance
 from .geometry import parse_instance, write_instance
@@ -36,35 +35,24 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
 def _load_instance(args) -> object:
     return parse_instance(_read_text(args.input))
 
 
-def _print_stats(stats, engine: str):
+def _print_stats(stats):
     print(
         f"stats layers={stats.layer_count} max_states={stats.max_layer_states} "
-        f"expansions={stats.total_expansions} wall_ms={stats.wall_ms:.1f} "
-        f"engine={engine}"
+        f"expansions={stats.total_expansions} wall_ms={stats.wall_ms:.1f}"
     )
 
 
 def _cmd_solve_tsp(args) -> int:
     instance = _load_instance(args)
-    sol = solve_tsp(
-        instance,
-        engine=args.engine,
-        trace=not args.no_trace,
-        debug=args.debug,
-        threads=args.threads,
-    )
+    sol = solve_tsp(instance, trace=not args.no_trace)
     print(f"length {sol.length}")
     if sol.tour is not None:
         print("tour " + " ".join(f"({p.x},{p.y})" for p in sol.tour))
-    _print_stats(sol.stats, sol.engine)
+    _print_stats(sol.stats)
     if sol.subgraph is not None:
         text = format_solution(list(sol.subgraph.edges), sol.length)
         if args.output:
@@ -76,16 +64,9 @@ def _cmd_solve_tsp(args) -> int:
 
 def _cmd_solve_steiner(args) -> int:
     instance = _load_instance(args)
-    sol = solve_steiner(
-        instance,
-        engine=args.engine,
-        trace=not args.no_trace,
-        debug=args.debug,
-        threads=args.threads,
-        force_adjacent_terminals=args.force_adjacent_terminals,
-    )
+    sol = solve_steiner(instance, trace=not args.no_trace)
     print(f"length {sol.length}")
-    _print_stats(sol.stats, sol.engine)
+    _print_stats(sol.stats)
     if sol.tree is not None:
         text = format_solution(list(sol.tree.edges), sol.length)
         if args.output:
@@ -125,28 +106,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    configs = [
-        (problem, n, h)
-        for problem in args.problem
-        for n in args.n
-        for h in args.h
-        if h <= n
-    ]
-    if not configs:
-        raise InputError("bench configuration is empty (need h <= n)")
-    csv = run_bench(
-        configs,
-        instances=args.instances,
-        seed_base=args.seed_base,
-        xmax=args.xmax,
-        ymax=args.ymax,
-        engine=args.engine,
-    )
-    _write_text(args.csv, csv)
-    return 0
-
-
 def _cmd_render(args) -> int:
     instance = _load_instance(args)
     edges = None
@@ -163,10 +122,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--svg", help="render the solution to this SVG file")
     p.add_argument("--no-trace", action="store_true",
                    help="cost-only rolling mode (no solution reconstruction)")
-    p.add_argument("--engine", default="auto", choices=["auto", "dict", "vector"])
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--debug", action="store_true",
-                   help="validate every generated state (dict engine)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-steiner", help="exact minimum rectilinear Steiner tree")
     _add_solver_flags(p)
-    p.add_argument("--force-adjacent-terminals", action="store_true",
-                   help="join adjacent terminals by their direct segment")
     p.set_defaults(fn=_cmd_solve_steiner)
 
     p = sub.add_parser("oracle-tsp", help="brute-force tour length (small n)")
@@ -213,19 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("bench", help="timed seeded runs, CSV output")
-    p.add_argument("--problem", default=["tsp"], type=lambda s: s.split(","),
-                   help="comma list from {tsp,steiner}")
-    p.add_argument("--n", default=[50], type=_int_list, help="comma list")
-    p.add_argument("--h", default=[4], type=_int_list, help="comma list")
-    p.add_argument("--instances", type=int, default=3)
-    p.add_argument("--seed-base", type=int, default=1)
-    p.add_argument("--xmax", type=int)
-    p.add_argument("--ymax", type=int)
-    p.add_argument("--engine", default="auto", choices=["auto", "dict", "vector"])
-    p.add_argument("--csv", help="write the CSV here (default stdout)")
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("render", help="render an instance (and solution) to SVG")
     p.add_argument("--input", required=True)

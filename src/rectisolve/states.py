@@ -37,7 +37,10 @@ ZERO, ODD, EVEN = 0, 1, 2
 _PARITY_CHAR = {ZERO: "0", ODD: "U", EVEN: "E"}
 _PARITY_CODE = {"0": ZERO, "U": ODD, "E": EVEN, 0: ZERO, 1: ODD, 2: EVEN}
 
-MAX_ENUM_H = 12  # enumeration guard; the state count grows as ~6.8^h / 5^h
+# The one size guard: every solve enumerates its state space first, so this
+# refuses tsp h >= 10 and steiner h >= 12 before anything is allocated.
+# The state count grows as ~6.8^h (tsp) and ~5^h (steiner).
+MAX_STATES = 1_000_000
 
 
 def parity_add(p: int, m: int) -> int:
@@ -266,12 +269,29 @@ def enumerate_states(h: int, problem: str) -> frozenset:
     opened after it, which non-crossing demands), or open a fresh one. For
     the tour variant each labeled row picks parity U or E and a component
     may only close with an even number of U rows.
+
+    Raises GuardExceeded, before allocating anything, when h < 1 or the
+    space holds more than MAX_STATES states.
     """
-    if not 1 <= h <= MAX_ENUM_H:
-        raise GuardExceeded(f"enumeration supports 1 <= h <= {MAX_ENUM_H}")
     tsp = problem == "tsp"
     if not tsp and problem != "steiner":
         raise InputError(f"unknown problem {problem!r}")
+    if h < 1:
+        raise GuardExceeded("enumeration needs h >= 1")
+    # Any set of rows may be unlabeled, so there are at least 2**h states.
+    # A large h is refused without its exact count, which is slow to sum and
+    # past 4300 digits cannot be formatted into the message.
+    if h >= MAX_STATES.bit_length():
+        raise GuardExceeded(
+            f"{problem} state space at h={h} has at least 2**{h} states, "
+            f"above the limit of {MAX_STATES}"
+        )
+    count = count_states(h, problem)
+    if count > MAX_STATES:
+        raise GuardExceeded(
+            f"{problem} state space at h={h} has {count} states, "
+            f"above the limit of {MAX_STATES}"
+        )
 
     parity = [ZERO] * h
     comp = [0] * h

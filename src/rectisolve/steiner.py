@@ -8,10 +8,7 @@ segment: skip or take. Filtering:
   minimum tree never contains;
 * a horizontal step that gives the departing vertex its only edge creates
   a pendant; pruned unless the vertex is a terminal (a leaf of the tree);
-* component closure is rejected exactly as in the tour solver;
-* optionally (off by default) two adjacent terminals are forced to be
-  joined by their direct segment, a canonical-form restriction that keeps
-  the optimal value unchanged.
+* component closure is rejected exactly as in the tour solver.
 
 Final layer: every last-column terminal labeled, all labels equal.
 """
@@ -25,7 +22,6 @@ import numpy as np
 from .errors import InternalInfeasibleError
 from .geometry import (
     DEFAULT_MAX_GRID_VERTICES,
-    EdgeEvent,
     HananGrid,
     Instance,
     build_grid,
@@ -39,14 +35,11 @@ from .solution import (
 )
 from .states import (
     SteinerFrontierState,
-    canonicalize_steiner,
     initial_steiner_state,
     relabel_components,
 )
-from . import sweep as sweep_mod
 from . import tables as tables_mod
-from .sweep import SweepStats
-from .tsp import choose_engine
+from .tables import SweepStats
 
 
 @dataclass(frozen=True)
@@ -60,20 +53,17 @@ class SteinerSolution:
     length: int
     tree: SteinerTree | None
     stats: SweepStats
-    engine: str
     grid: HananGrid | None
 
 
 # --- transitions ----------------------------------------------------------
 
 
-def _vertical_kernel(
-    state: SteinerFrontierState, i: int, forced: bool = False
-) -> list:
+def _vertical_kernel(state: SteinerFrontierState, i: int) -> list:
     comp = state.comp
     lo = i - 1
     hi = i
-    out = [] if forced else [(state, 0)]
+    out = [(state, 0)]
     c_lo, c_hi = comp[lo], comp[hi]
     if c_lo and c_hi:
         if c_lo == c_hi:
@@ -91,74 +81,33 @@ def _vertical_kernel(
 
 
 def _horizontal_kernel(
-    state: SteinerFrontierState, i: int, dep_terminal: bool, forced: bool = False
+    state: SteinerFrontierState, i: int, dep_terminal: bool
 ) -> list:
     comp = state.comp
     r = i - 1
     c = comp[r]
     out = []
-    skip_ok = not forced
     if c == 0:
         if dep_terminal:
-            skip_ok = False  # terminal would end with degree zero
+            # skipping would leave the terminal with degree zero
             fresh = len(comp) + 1
             ncomp = comp[:r] + (fresh,) + comp[r + 1 :]
             out.append((SteinerFrontierState(relabel_components(ncomp)), 1))
-        # non-terminal taking its first and last edge is a pendant: pruned
-        if skip_ok:
+        else:
+            # a non-terminal taking its first and last edge is a pendant: pruned
             out.append((state, 0))
     else:
-        if skip_ok and comp.count(c) > 1:  # otherwise closure
+        if comp.count(c) > 1:  # otherwise closure
             ncomp = comp[:r] + (0,) + comp[r + 1 :]
             out.append((SteinerFrontierState(relabel_components(ncomp)), 0))
         out.append((state, 1))
     return out
 
 
-def _kernel_plain(state: SteinerFrontierState, kind: tables_mod.Kind) -> list:
+def _kernel(state: SteinerFrontierState, kind: tables_mod.Kind) -> list:
     if kind[0] == "V":
         return _vertical_kernel(state, kind[1])
     return _horizontal_kernel(state, kind[1], kind[2])
-
-
-def _kernel_forced(state: SteinerFrontierState, kind: tables_mod.Kind) -> list:
-    if kind[0] == "V":
-        return _vertical_kernel(state, kind[1], forced=kind[2])
-    return _horizontal_kernel(state, kind[1], kind[2], forced=kind[3])
-
-
-def steiner_transition(
-    state: SteinerFrontierState,
-    event: EdgeEvent,
-    grid: HananGrid,
-    force_adjacent_terminals: bool = False,
-) -> list[tuple[SteinerFrontierState, int, int]]:
-    """Feasible extensions by one segment as (state, cost, mult) triples."""
-    if event.kind == "V":
-        forced = force_adjacent_terminals and (
-            grid.is_terminal(event.row, event.col)
-            and grid.is_terminal(event.row + 1, event.col)
-        )
-        results = _vertical_kernel(state, event.row, forced)
-    else:
-        dep = grid.is_terminal(event.row, event.col)
-        forced = (
-            force_adjacent_terminals
-            and dep
-            and grid.is_terminal(event.row, event.col + 1)
-        )
-        results = _horizontal_kernel(state, event.row, dep, forced)
-    return [(s, m * event.length, m) for s, m in results]
-
-
-def _accept(state: SteinerFrontierState, term_rows: tuple[bool, ...]) -> bool:
-    max_label = 0
-    for c, t in zip(state.comp, term_rows):
-        if t and c == 0:
-            return False
-        if c > max_label:
-            max_label = c
-    return max_label == 1
 
 
 def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:
@@ -170,77 +119,30 @@ def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:
     return ok
 
 
-def _debug_check(state: SteinerFrontierState):
-    if canonicalize_steiner(state.comp) != state:
-        raise InternalInfeasibleError(f"non-canonical state emitted: {state}")
-
-
 # --- solving --------------------------------------------------------------
 
 
 def solve_steiner(
     instance: Instance,
     *,
-    engine: str = "auto",
     trace: bool = True,
-    debug: bool = False,
-    threads: int = 1,
-    force_adjacent_terminals: bool = False,
     max_grid_vertices: int = DEFAULT_MAX_GRID_VERTICES,
 ) -> SteinerSolution:
     """Exact minimum rectilinear Steiner tree.
 
     Same interface contract as solve_tsp: trace mode returns the validated
-    edge set, rolling mode the length only; sequential and deterministic
-    for any ``threads`` value.
+    edge set, rolling mode the length only.
     """
-    del threads
     if len(instance.points) == 1:
-        return SteinerSolution(
-            0, SteinerTree((), 0), SweepStats(1, 1, 0, 0.0), "trivial", None
-        )
+        return SteinerSolution(0, SteinerTree((), 0), SweepStats(1, 1, 0, 0.0), None)
     grid = build_grid(instance, max_grid_vertices)
-    term_rows = grid.terminal_rows_last_col()
-    picked = choose_engine(engine, "steiner", grid.h)
-    forced_opt = bool(force_adjacent_terminals)
-    if picked == "vector":
-        kernel = _kernel_forced if forced_opt else _kernel_plain
-        tableset = tables_mod.get_tableset(
-            "steiner", grid.h, kernel, options_key=("forced", forced_opt)
-        )
-        mask = _accept_mask(tableset.space, term_rows)
-
-        def kind_of(ev: EdgeEvent):
-            if ev.kind == "V":
-                if not forced_opt:
-                    return ("V", ev.row)
-                both = grid.is_terminal(ev.row, ev.col) and grid.is_terminal(
-                    ev.row + 1, ev.col
-                )
-                return ("V", ev.row, both)
-            dep = grid.is_terminal(ev.row, ev.col)
-            if not forced_opt:
-                return ("H", ev.row, dep)
-            both = dep and grid.is_terminal(ev.row, ev.col + 1)
-            return ("H", ev.row, dep, both)
-
-        res = tables_mod.run_vector_sweep(
-            grid, tableset, kind_of, initial_steiner_state(grid.h), mask,
-            mult_max=1, trace=trace,
-        )
-        length, stats = res.cost, res.stats
-        moves = tables_mod.reconstruct_vector(res, tableset) if trace else None
-    else:
-        res = sweep_mod.run_sweep(
-            grid,
-            initial_steiner_state(grid.h),
-            lambda s, e, g: steiner_transition(s, e, g, forced_opt),
-            lambda s: _accept(s, term_rows),
-            trace=trace,
-            on_state=_debug_check if debug else None,
-        )
-        length, stats = res.cost, res.stats
-        moves = sweep_mod.reconstruct(res.trace, res.final_key) if trace else None
+    tableset = tables_mod.get_tableset("steiner", grid.h, _kernel)
+    mask = _accept_mask(tableset.space, grid.terminal_rows_last_col())
+    res = tables_mod.run_vector_sweep(
+        grid, tableset, initial_steiner_state(grid.h), mask, mult_max=1, trace=trace
+    )
+    length, stats = res.cost, res.stats
+    moves = tables_mod.reconstruct_vector(res, tableset) if trace else None
 
     tree = None
     if trace:
@@ -251,7 +153,7 @@ def solve_steiner(
                 f"reconstruction length {tree.total_length} != optimum {length}"
             )
         validate_steiner_tree(tree, instance)
-    return SteinerSolution(length, tree, stats, picked, grid)
+    return SteinerSolution(length, tree, stats, grid)
 
 
 def validate_steiner_tree(tree: SteinerTree, instance: Instance):

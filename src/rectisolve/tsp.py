@@ -28,7 +28,6 @@ import numpy as np
 from .errors import InternalInfeasibleError, NotEulerianError
 from .geometry import (
     DEFAULT_MAX_GRID_VERTICES,
-    EdgeEvent,
     HananGrid,
     Instance,
     Point,
@@ -46,15 +45,12 @@ from .states import (
     ODD,
     ZERO,
     TspFrontierState,
-    canonicalize_tsp,
-    count_states,
     initial_tsp_state,
     parity_add,
     relabel_components,
 )
-from . import sweep as sweep_mod
 from . import tables as tables_mod
-from .sweep import SweepStats
+from .tables import SweepStats
 
 Tour = tuple[Point, ...]
 
@@ -71,7 +67,6 @@ class TspSolution:
     subgraph: TourSubgraph | None
     tour: Tour | None
     stats: SweepStats
-    engine: str
     grid: HananGrid | None
 
 
@@ -145,32 +140,6 @@ def _kernel(state: TspFrontierState, kind: tables_mod.Kind) -> list:
     return _horizontal_kernel(state, kind[1], kind[2])
 
 
-def tsp_transition(
-    state: TspFrontierState, event: EdgeEvent, grid: HananGrid
-) -> list[tuple[TspFrontierState, int, int]]:
-    """All feasible extensions of a state by one scheduled segment, as
-    (new state, added cost, multiplicity) triples."""
-    if event.kind == "V":
-        results = _vertical_kernel(state, event.row)
-    else:
-        results = _horizontal_kernel(
-            state, event.row, grid.is_terminal(event.row, event.col)
-        )
-    return [(s, m * event.length, m) for s, m in results]
-
-
-def _accept(state: TspFrontierState, term_rows: tuple[bool, ...]) -> bool:
-    max_label = 0
-    for p, c, t in zip(state.parity, state.comp, term_rows):
-        if p == ODD:
-            return False
-        if t and p != EVEN:
-            return False
-        if c > max_label:
-            max_label = c
-    return max_label == 1
-
-
 def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:
     pm = space.parity_mat
     ok = (pm != ODD).all(axis=1)
@@ -181,76 +150,35 @@ def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:
     return ok
 
 
-def _debug_check(state: TspFrontierState):
-    if canonicalize_tsp(state.parity, state.comp) != state:
-        raise InternalInfeasibleError(f"non-canonical state emitted: {state}")
-
-
-def choose_engine(engine: str, problem: str, h: int) -> str:
-    if engine not in ("auto", "dict", "vector"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine != "auto":
-        return engine
-    if h <= 12 and count_states(h, problem) <= tables_mod.VECTOR_STATE_CAP:
-        return "vector"
-    return "dict"
-
-
 # --- solving --------------------------------------------------------------
 
 
 def solve_tsp(
     instance: Instance,
     *,
-    engine: str = "auto",
     trace: bool = True,
-    debug: bool = False,
-    threads: int = 1,
     max_grid_vertices: int = DEFAULT_MAX_GRID_VERTICES,
 ) -> TspSolution:
     """Exact minimum rectilinear tour.
 
     With trace on, the result carries the optimal tour subgraph (validated
     against all its invariants) and an oriented closed walk; rolling mode
-    (trace off) reports the length and sweep statistics only. ``threads``
-    is accepted for interface stability; execution is sequential and the
-    result is identical for any value.
+    (trace off) reports the length and sweep statistics only. Raises
+    GuardExceeded when the grid or the state space is too large.
     """
-    del threads
     if len(instance.points) == 1:
         return TspSolution(
             0, TourSubgraph((), 0), (instance.points[0],),
-            SweepStats(1, 1, 0, 0.0), "trivial", None,
+            SweepStats(1, 1, 0, 0.0), None,
         )
     grid = build_grid(instance, max_grid_vertices)
-    term_rows = grid.terminal_rows_last_col()
-    picked = choose_engine(engine, "tsp", grid.h)
-    if picked == "vector":
-        tableset = tables_mod.get_tableset("tsp", grid.h, _kernel)
-        mask = _accept_mask(tableset.space, term_rows)
-
-        def kind_of(ev: EdgeEvent):
-            if ev.kind == "V":
-                return ("V", ev.row)
-            return ("H", ev.row, grid.is_terminal(ev.row, ev.col))
-
-        res = tables_mod.run_vector_sweep(
-            grid, tableset, kind_of, initial_tsp_state(grid.h), mask,
-            mult_max=2, trace=trace,
-        )
-        length, stats = res.cost, res.stats
-        moves = tables_mod.reconstruct_vector(res, tableset) if trace else None
-    else:
-        res = sweep_mod.run_sweep(
-            grid,
-            initial_tsp_state(grid.h),
-            tsp_transition,
-            lambda s: _accept(s, term_rows),
-            trace=trace,
-            on_state=_debug_check if debug else None,
-        )
-        length, stats = res.cost, res.stats
-        moves = sweep_mod.reconstruct(res.trace, res.final_key) if trace else None
+    tableset = tables_mod.get_tableset("tsp", grid.h, _kernel)
+    mask = _accept_mask(tableset.space, grid.terminal_rows_last_col())
+    res = tables_mod.run_vector_sweep(
+        grid, tableset, initial_tsp_state(grid.h), mask, mult_max=2, trace=trace
+    )
+    length, stats = res.cost, res.stats
+    moves = tables_mod.reconstruct_vector(res, tableset) if trace else None
 
     subgraph = tour = None
     if trace:
@@ -267,7 +195,7 @@ def solve_tsp(
             raise InternalInfeasibleError(
                 f"oriented walk length {walked} != optimum {length}"
             )
-    return TspSolution(length, subgraph, tour, stats, picked, grid)
+    return TspSolution(length, subgraph, tour, stats, grid)
 
 
 # --- validation and orientation -------------------------------------------

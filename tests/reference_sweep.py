@@ -1,4 +1,10 @@
-"""Layered shortest-path sweep over the grid's edge schedule.
+"""Reference implementation of the layered sweep, for the tests only.
+
+A pure-Python sweep with one hash table per layer, keyed by packed state,
+and transitions computed state by state. It shares the per-segment kernels
+with the package but none of its table machinery, and the tests require
+it to give the same optima, edges and tours as ``solve_tsp`` and
+``solve_steiner``. Too slow for anything but small instances.
 
 Each scheduled segment is one layer transition: every state of the current
 layer is expanded through a problem-specific transition function into the
@@ -16,9 +22,32 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import InternalInfeasibleError
-from .geometry import EdgeEvent, HananGrid, edge_schedule
-from .states import FrontierState, encode_state
+from rectisolve.errors import InternalInfeasibleError
+from rectisolve.geometry import EdgeEvent, HananGrid, Instance, build_grid, edge_schedule
+from rectisolve.solution import edges_from_moves, total_edge_length
+from rectisolve.states import (
+    EVEN,
+    ODD,
+    FrontierState,
+    SteinerFrontierState,
+    TspFrontierState,
+    canonicalize_steiner,
+    canonicalize_tsp,
+    encode_state,
+    initial_steiner_state,
+    initial_tsp_state,
+)
+from rectisolve.steiner import (
+    SteinerSolution,
+    SteinerTree,
+    validate_steiner_tree,
+)
+from rectisolve.steiner import _horizontal_kernel as _steiner_horizontal
+from rectisolve.steiner import _vertical_kernel as _steiner_vertical
+from rectisolve.tables import SweepStats
+from rectisolve.tsp import TourSubgraph, TspSolution, orient_tour, validate_tour_subgraph
+from rectisolve.tsp import _horizontal_kernel as _tsp_horizontal
+from rectisolve.tsp import _vertical_kernel as _tsp_vertical
 
 TransitionFn = Callable[[FrontierState, EdgeEvent, HananGrid], list]
 AcceptFn = Callable[[FrontierState], bool]
@@ -32,14 +61,6 @@ class Entry(NamedTuple):
 
 
 LayerTable = dict[int, Entry]
-
-
-@dataclass
-class SweepStats:
-    layer_count: int
-    max_layer_states: int
-    total_expansions: int
-    wall_ms: float
 
 
 @dataclass
@@ -163,3 +184,106 @@ def replay(
                 f"replay has no multiplicity-{mult} transition at {event}"
             )
     return state, total
+
+
+# --- per-state transitions and acceptance ---------------------------------
+
+
+def tsp_transition(
+    state: TspFrontierState, event: EdgeEvent, grid: HananGrid
+) -> list[tuple[TspFrontierState, int, int]]:
+    """All feasible extensions of a state by one scheduled segment, as
+    (new state, added cost, multiplicity) triples."""
+    if event.kind == "V":
+        results = _tsp_vertical(state, event.row)
+    else:
+        results = _tsp_horizontal(
+            state, event.row, grid.is_terminal(event.row, event.col)
+        )
+    return [(s, m * event.length, m) for s, m in results]
+
+
+def steiner_transition(
+    state: SteinerFrontierState, event: EdgeEvent, grid: HananGrid
+) -> list[tuple[SteinerFrontierState, int, int]]:
+    """Feasible extensions by one segment as (state, cost, mult) triples."""
+    if event.kind == "V":
+        results = _steiner_vertical(state, event.row)
+    else:
+        results = _steiner_horizontal(
+            state, event.row, grid.is_terminal(event.row, event.col)
+        )
+    return [(s, m * event.length, m) for s, m in results]
+
+
+def tsp_accept(state: TspFrontierState, term_rows: tuple[bool, ...]) -> bool:
+    max_label = 0
+    for p, c, t in zip(state.parity, state.comp, term_rows):
+        if p == ODD:
+            return False
+        if t and p != EVEN:
+            return False
+        if c > max_label:
+            max_label = c
+    return max_label == 1
+
+
+def steiner_accept(state: SteinerFrontierState, term_rows: tuple[bool, ...]) -> bool:
+    max_label = 0
+    for c, t in zip(state.comp, term_rows):
+        if t and c == 0:
+            return False
+        if c > max_label:
+            max_label = c
+    return max_label == 1
+
+
+def check_canonical(state: FrontierState):
+    """``on_state`` hook: every emitted state must already be canonical."""
+    if isinstance(state, TspFrontierState):
+        canonical = canonicalize_tsp(state.parity, state.comp)
+    else:
+        canonical = canonicalize_steiner(state.comp)
+    if canonical != state:
+        raise InternalInfeasibleError(f"non-canonical state emitted: {state}")
+
+
+# --- whole solves, checking every emitted state ---------------------------
+
+
+def solve_tsp_reference(instance: Instance) -> TspSolution:
+    """The reference counterpart of ``solve_tsp`` in trace mode."""
+    grid = build_grid(instance)
+    term_rows = grid.terminal_rows_last_col()
+    res = run_sweep(
+        grid,
+        initial_tsp_state(grid.h),
+        tsp_transition,
+        lambda s: tsp_accept(s, term_rows),
+        on_state=check_canonical,
+    )
+    edges = edges_from_moves(grid, reconstruct(res.trace, res.final_key))
+    subgraph = TourSubgraph(tuple(edges), total_edge_length(edges))
+    assert subgraph.total_length == res.cost
+    validate_tour_subgraph(subgraph, instance)
+    return TspSolution(
+        res.cost, subgraph, orient_tour(subgraph, instance), res.stats, grid
+    )
+
+
+def solve_steiner_reference(instance: Instance) -> SteinerSolution:
+    """The reference counterpart of ``solve_steiner`` in trace mode."""
+    grid = build_grid(instance)
+    term_rows = grid.terminal_rows_last_col()
+    res = run_sweep(
+        grid,
+        initial_steiner_state(grid.h),
+        steiner_transition,
+        lambda s: steiner_accept(s, term_rows),
+        on_state=check_canonical,
+    )
+    edges = edges_from_moves(grid, reconstruct(res.trace, res.final_key))
+    tree = SteinerTree(tuple(edges), total_edge_length(edges))
+    assert tree.total_length == res.cost
+    validate_steiner_tree(tree, instance)
+    return SteinerSolution(res.cost, tree, res.stats, grid)

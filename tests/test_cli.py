@@ -1,3 +1,7 @@
+import time
+
+import pytest
+
 from rectisolve.cli import main
 
 
@@ -87,25 +91,6 @@ def test_gen_solve_pipeline(tmp_path, capsys):
     assert out_solve.splitlines()[0] == f"length {out_oracle.strip()}"
 
 
-def test_bench_csv_shape(tmp_path, capsys):
-    csv_file = tmp_path / "bench.csv"
-    code, _, err = run(
-        capsys, "bench", "--problem", "tsp,steiner", "--n", "12", "--h", "2,3",
-        "--instances", "2", "--seed-base", "5", "--csv", str(csv_file),
-    )
-    assert code == 0
-    lines = csv_file.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert header == [
-        "problem", "n", "h", "v", "seed", "optimum", "wall_ms",
-        "max_layer_states", "layer_count", "peak_mem_bytes",
-    ]
-    data = [l for l in lines[1:] if ",agg," not in l]
-    aggs = [l for l in lines[1:] if ",agg," in l]
-    assert len(data) == 2 * 2 * 2  # problems x h values x instances
-    assert len(aggs) == 4
-
-
 def test_render(tmp_path, capsys):
     inst = write_instance_file(tmp_path, "3\n0 0\n4 0\n2 3\n")
     svg_file = tmp_path / "plain.svg"
@@ -153,9 +138,27 @@ def test_exit_code_guard(tmp_path, capsys):
     assert code == 3
 
 
-def test_threads_flag_is_value_neutral(tmp_path, capsys):
-    inst = write_instance_file(tmp_path, SQUARE)
-    _, out1, _ = run(capsys, "solve-tsp", "--input", inst, "--threads", "1")
-    _, out4, _ = run(capsys, "solve-tsp", "--input", inst, "--threads", "4")
-    assert out1.splitlines()[0] == out4.splitlines()[0]
-    assert out1.splitlines()[1] == out4.splitlines()[1]
+
+def diagonal(n):
+    """n points with n distinct x and n distinct y, so h = n."""
+    return f"{n}\n" + "".join(f"{i} {i}\n" for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "command, points, extra",
+    [
+        ("solve-tsp", 10, ()),  # tsp h=10: 3 248 704 states
+        ("solve-steiner", 12, ()),  # steiner h=12: 4 302 645 states
+        ("states", None, ("--problem", "tsp", "--h", "10")),
+        ("states", None, ("--problem", "tsp", "--h", "6000")),  # count: 5000 digits
+    ],
+)
+def test_state_space_guard_refuses_at_once(tmp_path, capsys, command, points, extra):
+    args = [command, *extra]
+    if points is not None:
+        args += ["--input", write_instance_file(tmp_path, diagonal(points))]
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *args)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert "guard" in err

@@ -5,8 +5,10 @@ from rectisolve.geometry import EdgeEvent, build_grid, make_instance
 from rectisolve.oracle import steiner_oracle
 from rectisolve.solution import UnionFind
 from rectisolve.states import SteinerFrontierState, canonicalize_steiner
-from rectisolve.steiner import solve_steiner, steiner_transition, validate_steiner_tree
+from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
+
+from reference_sweep import solve_steiner_reference, steiner_transition
 
 GRID3 = build_grid(make_instance([(0, 0), (1, 1), (2, 2)]))
 
@@ -34,16 +36,6 @@ class TestTransitions:
         s = SteinerFrontierState((1, 1, 2))
         out = steiner_transition(s, EdgeEvent("H", 3, 1, 1), GRID3)
         assert [m for _, _, m in out] == [1]
-
-    def test_forced_adjacent_terminals(self):
-        grid = build_grid(make_instance([(0, 0), (0, 3), (5, 0), (5, 3)]))
-        s = SteinerFrontierState((0, 0))
-        out = steiner_transition(
-            s, EdgeEvent("V", 1, 1, 3), grid, force_adjacent_terminals=True
-        )
-        assert [m for _, _, m in out] == [1]
-        out = steiner_transition(s, EdgeEvent("V", 1, 1, 3), grid)
-        assert sorted(m for _, _, m in out) == [0, 1]
 
     def test_emitted_states_are_canonical(self):
         rng = random.Random(3)
@@ -88,20 +80,10 @@ class TestSolve:
             n = rng.randint(3, 8)
             h = rng.randint(2, min(5, n))
             inst = gen_instance(n, h, 60, 30, rng.randint(0, 10**6))
-            a = solve_steiner(inst, engine="vector")
-            b = solve_steiner(inst, engine="dict", debug=True)
+            a = solve_steiner(inst)
+            b = solve_steiner_reference(inst)
             assert a.length == b.length
             assert a.tree.edges == b.tree.edges
-
-    def test_forced_flag_preserves_value(self):
-        rng = random.Random(37)
-        for _ in range(15):
-            n = rng.randint(3, 7)
-            inst = gen_instance(n, rng.randint(2, n), 40, 40, rng.randint(0, 10**6))
-            plain = solve_steiner(inst)
-            forced = solve_steiner(inst, force_adjacent_terminals=True)
-            assert plain.length == forced.length
-            validate_steiner_tree(forced.tree, inst)
 
     def test_tree_is_acyclic_and_spanning(self):
         rng = random.Random(41)

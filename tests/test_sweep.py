@@ -3,9 +3,10 @@ import pytest
 from rectisolve.errors import InternalInfeasibleError
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import EdgeEvent, build_grid, make_instance
-from rectisolve.states import count_states, initial_tsp_state
-from rectisolve.sweep import reconstruct, replay, run_sweep
-from rectisolve.tsp import tsp_transition
+from rectisolve.states import TspFrontierState, count_states, initial_tsp_state
+from rectisolve.tables import TableSet, get_space
+
+from reference_sweep import reconstruct, replay, run_sweep, tsp_transition
 
 
 def identity_transition(state, event, grid):
@@ -78,3 +79,12 @@ def test_nothing_accepted_raises():
     grid = build_grid(make_instance([(0, 0), (1, 1)]))
     with pytest.raises(InternalInfeasibleError):
         run_sweep(grid, initial_tsp_state(2), identity_transition, lambda s: False)
+
+
+def test_non_canonical_kernel_output_raises():
+    def doubled_labels(state, kind):
+        return [(TspFrontierState(state.parity, tuple(2 * c for c in state.comp)), 0)]
+
+    tableset = TableSet(get_space("tsp", 3), doubled_labels)
+    with pytest.raises(InternalInfeasibleError, match="non-canonical"):
+        tableset.get(("V", 1))

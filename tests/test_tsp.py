@@ -13,14 +13,16 @@ from rectisolve.states import (
     count_states,
     decode_state,
     enumerate_states,
+    initial_tsp_state,
 )
 from rectisolve.tsp import (
     TourSubgraph,
     orient_tour,
     solve_tsp,
-    tsp_transition,
     validate_tour_subgraph,
 )
+
+from reference_sweep import run_sweep, solve_tsp_reference, tsp_transition
 
 GRID3 = build_grid(make_instance([(0, 0), (1, 1), (2, 2)]))
 
@@ -109,8 +111,8 @@ class TestSolve:
             n = rng.randint(4, 9)
             h = rng.randint(2, min(4, n))
             inst = gen_instance(n, h, 60, 40, rng.randint(0, 10**6))
-            a = solve_tsp(inst, engine="vector")
-            b = solve_tsp(inst, engine="dict", debug=True)
+            a = solve_tsp(inst)
+            b = solve_tsp_reference(inst)
             assert a.length == b.length
             assert a.subgraph.edges == b.subgraph.edges
             assert a.tour == b.tour
@@ -137,9 +139,6 @@ class TestSolve:
         assert rolling.subgraph is None and rolling.tour is None
 
     def test_reachable_states_are_enumerable(self):
-        from rectisolve.sweep import run_sweep
-        from rectisolve.states import initial_tsp_state
-
         inst = gen_instance(8, 4, 30, 16, 5)
         grid = build_grid(inst)
         res = run_sweep(
