@@ -19,13 +19,7 @@ from .geometry import (
     parse_instance,
     write_instance,
 )
-from .oracle import (
-    distance_matrix,
-    l1_mst,
-    steiner_exhaustive,
-    steiner_oracle,
-    tsp_bruteforce,
-)
+from .oracle import distance_matrix, steiner_oracle, tsp_bruteforce
 from .render import render_svg
 from .solution import (
     SolutionEdge,
@@ -86,7 +80,6 @@ __all__ = [
     "format_solution",
     "gen_instance",
     "l1",
-    "l1_mst",
     "make_instance",
     "orient_tour",
     "parse_instance",
@@ -97,7 +90,6 @@ __all__ = [
     "resolve_edges",
     "solve_steiner",
     "solve_tsp",
-    "steiner_exhaustive",
     "steiner_oracle",
     "super_catalan",
     "tsp_bruteforce",

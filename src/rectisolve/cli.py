@@ -93,8 +93,20 @@ def _cmd_states(args) -> int:
     return 0
 
 
+def _decimal(n: int) -> str:
+    """All decimal digits of a non-negative int; ``str`` refuses ints of
+    more than 4300 digits."""
+    chunk = 10**1000
+    parts = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(f"{low:01000d}")
+    parts.append(str(n))
+    return "".join(reversed(parts))
+
+
 def _cmd_count(args) -> int:
-    print(count_states(args.h, args.problem))
+    print(_decimal(count_states(args.h, args.problem)))
     return 0
 
 

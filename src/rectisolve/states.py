@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import re
 from math import comb
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     CrossingPartition,
@@ -88,6 +90,63 @@ def relabel_components(comp: Sequence[int]) -> tuple[int, ...]:
                 mapping[c] = m
             out.append(m)
     return tuple(out)
+
+
+# --- whole label matrices -------------------------------------------------
+#
+# The table build works on (M, h) int8 label matrices, one state per row.
+# These are the vectorised counterparts of relabel_components and of the
+# two label changes a segment can make.
+
+
+def relabel_rows(comp: np.ndarray) -> np.ndarray:
+    """relabel_components applied to every row of a label matrix."""
+    m, h = comp.shape
+    if m == 0:
+        return comp.copy()
+    width = int(comp.max()) + 1
+    mapping = np.zeros(m * width, dtype=comp.dtype)  # row's old label -> new
+    slots = np.arange(0, m * width, width)
+    used = np.zeros(m, dtype=comp.dtype)
+    out = np.empty_like(comp)
+    for j in range(h):
+        slot = slots + comp[:, j]
+        label = mapping[slot]
+        first = (label == 0) & (comp[:, j] > 0)
+        used += first
+        label[first] = used[first]
+        mapping[slot[first]] = label[first]
+        out[:, j] = label
+    return out
+
+
+def join_rows(comp: np.ndarray, lo: int) -> np.ndarray:
+    """Labels after a segment joins rows lo and lo+1, in canonical form.
+
+    Two components merge, a labeled row extends its component to an empty
+    neighbour, and two empty rows open a fresh component. Rows whose two
+    labels are already equal come back unchanged.
+    """
+    hi = lo + 1
+    c_lo, c_hi = comp[:, lo], comp[:, hi]
+    merge = (c_lo > 0) & (c_hi > 0) & (c_lo != c_hi)
+    fresh = (c_lo == 0) & (c_hi == 0)
+    out = np.where(merge[:, None] & (comp == c_hi[:, None]), c_lo[:, None], comp)
+    out[:, hi] = np.where(c_hi == 0, c_lo, out[:, hi])
+    out[:, lo] = np.where(c_lo == 0, c_hi, out[:, lo])
+    out[fresh, lo] = out[fresh, hi] = comp.shape[1] + 1
+    # Extending keeps first appearances in order; merging and opening may not.
+    renumber = merge | fresh
+    out[renumber] = relabel_rows(out[renumber])
+    return out
+
+
+def set_label(comp: np.ndarray, r: int, label: int) -> np.ndarray:
+    """Labels with row r set to ``label`` (0 to leave its component, or
+    h + 1 to open a fresh one), in canonical form."""
+    out = comp.copy()
+    out[:, r] = label
+    return relabel_rows(out)
 
 
 def _check_noncrossing(comp: Sequence[int]):
@@ -246,16 +305,30 @@ def catalan(k: int) -> int:
 
 
 def count_states(h: int, problem: str) -> int:
-    """Closed-form size of the state space on h rows (exact big integer)."""
+    """Closed-form size of the state space on h rows (exact big integer).
+
+    One pass over the terms comb(h, k) * base(k): each term follows from
+    the previous one or two through the binomial and the Schroeder or
+    Catalan recurrence, by small-integer factors only, so tsp h=6000 takes
+    milliseconds.
+    """
     if h < 1:
         raise InputError("h must be >= 1")
-    if problem == "tsp":
-        base = super_catalan
-    elif problem == "steiner":
-        base = catalan
-    else:
+    if problem not in ("tsp", "steiner"):
         raise InputError(f"unknown problem {problem!r}")
-    return sum(comb(h, k) * base(k) for k in range(h + 1))
+    total, prev, term = 1 + h, 1, h  # k = 0 and k = 1: base(0) = base(1) = 1
+    for k in range(2, h + 1):
+        r = h - k + 1  # comb(h, k) = comb(h, k - 1) * r / k
+        if problem == "tsp":
+            # (k + 1) S_k = 3 (2k - 1) S_{k-1} - (k - 2) S_{k-2}
+            prev, term = term, (
+                3 * (2 * k - 1) * (k - 1) * r * term - (k - 2) * r * (r + 1) * prev
+            ) // ((k - 1) * k * (k + 1))
+        else:
+            # (k + 1) C_k = 2 (2k - 1) C_{k-1}
+            term = term * r * 2 * (2 * k - 1) // (k * (k + 1))
+        total += term
+    return total
 
 
 # --- exhaustive enumeration ----------------------------------------------
@@ -279,8 +352,8 @@ def enumerate_states(h: int, problem: str) -> frozenset:
     if h < 1:
         raise GuardExceeded("enumeration needs h >= 1")
     # Any set of rows may be unlabeled, so there are at least 2**h states.
-    # A large h is refused without its exact count, which is slow to sum and
-    # past 4300 digits cannot be formatted into the message.
+    # A large h is refused without its exact count, which past 4300 digits
+    # cannot be formatted into the message.
     if h >= MAX_STATES.bit_length():
         raise GuardExceeded(
             f"{problem} state space at h={h} has at least 2**{h} states, "
@@ -338,8 +411,3 @@ def enumerate_states(h: int, problem: str) -> frozenset:
 
     visit(0, 1)
     return frozenset(out)
-
-
-def positive_states(states: Iterable[FrontierState]) -> frozenset:
-    """Restriction to states where every row carries a component."""
-    return frozenset(s for s in states if all(c != 0 for c in s.comp))

@@ -33,11 +33,7 @@ from .solution import (
     edges_from_moves,
     total_edge_length,
 )
-from .states import (
-    SteinerFrontierState,
-    initial_steiner_state,
-    relabel_components,
-)
+from .states import initial_steiner_state, join_rows, set_label
 from . import tables as tables_mod
 from .tables import SweepStats
 
@@ -59,55 +55,39 @@ class SteinerSolution:
 # --- transitions ----------------------------------------------------------
 
 
-def _vertical_kernel(state: SteinerFrontierState, i: int) -> list:
-    comp = state.comp
-    lo = i - 1
-    hi = i
-    out = [(state, 0)]
-    c_lo, c_hi = comp[lo], comp[hi]
-    if c_lo and c_hi:
-        if c_lo == c_hi:
-            return out  # cycle
-        ncomp = tuple(c_lo if c == c_hi else c for c in comp)
-    elif c_lo:
-        ncomp = comp[:hi] + (c_lo,) + comp[hi + 1 :]
-    elif c_hi:
-        ncomp = comp[:lo] + (c_hi,) + comp[lo + 1 :]
-    else:
-        fresh = len(comp) + 1
-        ncomp = comp[:lo] + (fresh, fresh) + comp[lo + 2 :]
-    out.append((SteinerFrontierState(relabel_components(ncomp)), 1))
-    return out
-
-
-def _horizontal_kernel(
-    state: SteinerFrontierState, i: int, dep_terminal: bool
-) -> list:
-    comp = state.comp
-    r = i - 1
-    c = comp[r]
-    out = []
-    if c == 0:
-        if dep_terminal:
-            # skipping would leave the terminal with degree zero
-            fresh = len(comp) + 1
-            ncomp = comp[:r] + (fresh,) + comp[r + 1 :]
-            out.append((SteinerFrontierState(relabel_components(ncomp)), 1))
-        else:
-            # a non-terminal taking its first and last edge is a pendant: pruned
-            out.append((state, 0))
-    else:
-        if comp.count(c) > 1:  # otherwise closure
-            ncomp = comp[:r] + (0,) + comp[r + 1 :]
-            out.append((SteinerFrontierState(relabel_components(ncomp)), 0))
-        out.append((state, 1))
-    return out
-
-
-def _kernel(state: SteinerFrontierState, kind: tables_mod.Kind) -> list:
+def _kernel(space: tables_mod.StateSpace, kind: tables_mod.Kind):
+    """Every (source, successor, multiplicity) candidate of one event kind,
+    for the whole state space at once, as ``tables.Kernel`` arrays with
+    canonical labels."""
+    comp = space.comp_mat
+    n, h = comp.shape
     if kind[0] == "V":
-        return _vertical_kernel(state, kind[1])
-    return _horizontal_kernel(state, kind[1], kind[2])
+        # skip, or take unless the two rows already share a component (cycle)
+        lo = kind[1] - 1
+        c_lo, c_hi = comp[:, lo], comp[:, lo + 1]
+        taken = np.flatnonzero((c_lo == 0) | (c_lo != c_hi))
+        return tables_mod.stack_candidates([
+            (np.arange(n), comp, None, 0),
+            (taken, join_rows(comp[taken], lo), None, 1),
+        ])
+
+    # Horizontal: an empty terminal row must take the segment (skipping
+    # would leave the terminal with degree zero), which opens a fresh
+    # component; an empty non-terminal row skips (taking its first and last
+    # edge would make a pendant). A labeled row takes the segment, or skips
+    # and leaves its component unless that strands the component (closure).
+    r = kind[1] - 1
+    c = comp[:, r]
+    empty = np.flatnonzero(c == 0)
+    if kind[2]:
+        blocks = [(empty, set_label(comp[empty], r, h + 1), None, 1)]
+    else:
+        blocks = [(empty, comp[empty], None, 0)]
+    left = np.flatnonzero((c > 0) & ((comp == c[:, None]).sum(axis=1) > 1))
+    blocks.append((left, set_label(comp[left], r, 0), None, 0))
+    busy = np.flatnonzero(c > 0)
+    blocks.append((busy, comp[busy], None, 1))
+    return tables_mod.stack_candidates(blocks)
 
 
 def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:

@@ -1,13 +1,22 @@
 """Layered shortest-path sweep over the fully enumerated state space.
 
-The whole state space is enumerated once, sorted by packed key, and each
-distinct event shape ("kind": segment orientation, row, and for a
-horizontal segment whether it departs a terminal) gets a precomputed
-transition table of (source index, destination index, multiplicity)
-triples. Processing one event is then a gather + grouped minimum over
-numpy arrays. Equal costs are broken toward the smallest (source index,
-multiplicity) pair; sources are sorted by packed key, so this is the
-smallest (predecessor key, multiplicity) pair.
+The whole state space is enumerated once and held as two (N, h) int8
+matrices, per-row parities (tour variant) and component labels, sorted by
+packed key. Each distinct event shape ("kind": segment orientation, row,
+and for a horizontal segment whether it departs a terminal) gets a
+precomputed transition table of (source index, destination index,
+multiplicity) triples. Processing one event is then a gather + grouped
+minimum over numpy arrays. Equal costs are broken toward the smallest
+(source index, multiplicity) pair; sources are sorted by packed key, so
+this is the smallest (predecessor key, multiplicity) pair.
+
+A table is built with numpy over the whole space at once. The solver's
+kernel maps every state to its candidate successors, as arrays of source
+index, labels, parities and multiplicity. Each candidate is packed into an
+int64 key; one that kept its source's key goes back to that source, and
+the rest are looked up by binary search in the sorted key array. A
+candidate that is not there is not a canonical state, which is a kernel
+bug and raises InternalInfeasibleError.
 
 Tables depend only on (problem, h), never on segment lengths or column
 positions, so they are cached and shared across instances and runs.
@@ -26,10 +35,25 @@ import numpy as np
 
 from .errors import InternalInfeasibleError
 from .geometry import EdgeEvent, HananGrid, edge_schedule
-from .states import FrontierState, encode_state, enumerate_states, render_state
+from .states import (
+    FrontierState,
+    SteinerFrontierState,
+    TspFrontierState,
+    enumerate_states,
+    render_state,
+)
 
 Kind = tuple
-Kernel = Callable[[FrontierState, Kind], list]
+# (space, kind) -> (src, comp, parity, mult): one candidate per entry, with
+# its (M, h) labels and parities (None for the tree variant).
+Candidates = tuple[np.ndarray, np.ndarray, "np.ndarray | None", np.ndarray]
+Kernel = Callable[["StateSpace", Kind], Candidates]
+
+# Canonical labels are at most h (11 at the guard's largest space) and
+# parities at most 2, so 4 bits per label and 2 more per parity pack a
+# state losslessly into an int64: 54 bits at tsp h=9, 44 at steiner h=11.
+_LABEL_BITS = 4
+_MAX_LABEL = (1 << _LABEL_BITS) - 1
 
 
 @dataclass
@@ -40,15 +64,59 @@ class SweepStats:
     wall_ms: float
 
 
+def pack_states(comp: np.ndarray, parity: np.ndarray | None) -> np.ndarray:
+    """One int64 key per row of a label (and parity) matrix.
+
+    Row i of a state occupies the key's i-th field, (parity << 4) | label,
+    so keys sort exactly like ``encode_state``: field by field from the
+    top row down, parity before label.
+    """
+    width = _LABEL_BITS if parity is None else _LABEL_BITS + 2
+    keys = np.zeros(len(comp), dtype=np.int64)
+    for i in range(comp.shape[1] - 1, -1, -1):
+        keys <<= width
+        keys |= comp[:, i]
+        if parity is not None:
+            keys |= parity[:, i].astype(np.int64) << _LABEL_BITS
+    return keys
+
+
+def stack_candidates(blocks) -> Candidates:
+    """Concatenate (src, comp, parity, mult) blocks into one candidate set;
+    a block's mult may be one number for all of its rows."""
+    src = np.concatenate([b[0] for b in blocks])
+    comp = np.concatenate([b[1] for b in blocks])
+    parity = None
+    if blocks[0][2] is not None:
+        parity = np.concatenate([b[2] for b in blocks])
+    mult = np.concatenate(
+        [np.broadcast_to(np.asarray(b[3], dtype=np.int64), len(b[0])) for b in blocks]
+    )
+    return src, comp, parity, mult
+
+
 @dataclass
 class StateSpace:
     problem: str
     h: int
-    keys: list[int]  # sorted packed keys; position = state index
-    index: dict[int, int]
-    states: list[FrontierState]
+    keys: np.ndarray  # int64 packed keys, ascending; position = state index
     parity_mat: np.ndarray | None  # (N, h) int8, tour variant only
     comp_mat: np.ndarray  # (N, h) int8
+
+    def state(self, comp_row, parity_row=None) -> FrontierState:
+        """A row of the matrices (or of kernel output) as a tuple state."""
+        comp = tuple(int(c) for c in comp_row)
+        if self.parity_mat is None:
+            return SteinerFrontierState(comp)
+        return TspFrontierState(tuple(int(p) for p in parity_row), comp)
+
+    def position(self, state: FrontierState) -> int:
+        """Index of a canonical state."""
+        comp = np.array([state.comp], dtype=np.int8)
+        parity = None
+        if self.parity_mat is not None:
+            parity = np.array([state.parity], dtype=np.int8)
+        return int(np.searchsorted(self.keys, pack_states(comp, parity)[0]))
 
 
 _SPACES: dict[tuple[str, int], StateSpace] = {}
@@ -59,15 +127,17 @@ def get_space(problem: str, h: int) -> StateSpace:
     cached = _SPACES.get((problem, h))
     if cached is not None:
         return cached
-    states = sorted(enumerate_states(h, problem), key=encode_state)
-    keys = [encode_state(s) for s in states]
-    index = {k: i for i, k in enumerate(keys)}
+    states = list(enumerate_states(h, problem))
+    comp_mat = np.array([s.comp for s in states], dtype=np.int8)
+    parity_mat = None
     if problem == "tsp":
         parity_mat = np.array([s.parity for s in states], dtype=np.int8)
-    else:
-        parity_mat = None
-    comp_mat = np.array([s.comp for s in states], dtype=np.int8)
-    space = StateSpace(problem, h, keys, index, states, parity_mat, comp_mat)
+    del states
+    keys = pack_states(comp_mat, parity_mat)
+    order = np.argsort(keys)
+    if parity_mat is not None:
+        parity_mat = parity_mat[order]
+    space = StateSpace(problem, h, keys[order], parity_mat, comp_mat[order])
     _SPACES[(problem, h)] = space
     return space
 
@@ -97,31 +167,41 @@ class TableSet:
 
     def _build(self, kind: Kind) -> KindTable:
         space = self.space
-        index = space.index
-        kernel = self.kernel
-        srcs: list[int] = []
-        dsts: list[int] = []
-        mults: list[int] = []
-        for si, state in enumerate(space.states):
-            for new_state, m in kernel(state, kind):
-                try:
-                    dsts.append(index[encode_state(new_state)])
-                except KeyError:
-                    raise InternalInfeasibleError(
-                        f"kernel emitted non-canonical state "
-                        f"{render_state(new_state)} for kind {kind}"
-                    ) from None
-                srcs.append(si)
-                mults.append(m)
-        src = np.array(srcs, dtype=np.int32)
-        dst = np.array(dsts, dtype=np.int32)
-        mult = np.array(mults, dtype=np.int64)
+        src, comp, parity, mult = self.kernel(space, kind)
+        # a value outside the packed fields would alias another state's key
+        bad = (comp < 0) | (comp > _MAX_LABEL)
+        if parity is not None:
+            bad |= (parity < 0) | (parity > 2)
+        if bad.any():
+            first = np.flatnonzero(bad.any(axis=1))[0]
+            self._raise_non_canonical(kind, comp, parity, first)
+        keys = pack_states(comp, parity)
+        dst = src.astype(np.int32)
+        moved = np.flatnonzero(keys != space.keys[src])
+        found = np.searchsorted(space.keys, keys[moved])
+        np.minimum(found, len(space.keys) - 1, out=found)
+        missing = space.keys[found] != keys[moved]
+        if missing.any():
+            self._raise_non_canonical(kind, comp, parity, moved[missing][0])
+        dst[moved] = found
+        src = src.astype(np.int32)
+        mult = mult.astype(np.int64)
         order = np.lexsort((mult, src, dst))
         src, dst, mult = src[order], dst[order], mult[order]
         boundaries = np.flatnonzero(np.diff(dst)) + 1
         group_starts = np.concatenate(([0], boundaries))
         group_dst = dst[group_starts]
         return KindTable(src, mult, group_starts.astype(np.int64), group_dst)
+
+    def _raise_non_canonical(self, kind: Kind, comp, parity, r):
+        state = self.space.state(comp[r], None if parity is None else parity[r])
+        try:
+            shown = render_state(state)
+        except KeyError:  # a parity outside ZERO/ODD/EVEN
+            shown = repr(state)
+        raise InternalInfeasibleError(
+            f"kernel emitted non-canonical state {shown} for kind {kind}"
+        )
 
 
 def get_tableset(problem: str, h: int, kernel: Kernel) -> TableSet:
@@ -171,7 +251,7 @@ def run_vector_sweep(
         dtype, inf = np.int64, np.int64(2**62)
 
     cost = np.full(n, inf, dtype=dtype)
-    cost[space.index[encode_state(initial_state)]] = 0
+    cost[space.position(initial_state)] = 0
     layers = [cost.copy()] if trace else None
     max_states = 1
     expansions = 0

@@ -44,10 +44,10 @@ from .states import (
     EVEN,
     ODD,
     ZERO,
-    TspFrontierState,
     initial_tsp_state,
+    join_rows,
     parity_add,
-    relabel_components,
+    set_label,
 )
 from . import tables as tables_mod
 from .tables import SweepStats
@@ -72,72 +72,57 @@ class TspSolution:
 
 # --- transitions ----------------------------------------------------------
 
-
-def _vertical_kernel(state: TspFrontierState, i: int) -> list:
-    """Segment between rows i and i+1 (1-based): skip, single, or double."""
-    parity, comp = state
-    lo = i - 1
-    hi = i
-    out = [(state, 0)]
-    c_lo, c_hi = comp[lo], comp[hi]
-    for m in (1, 2):
-        npar = list(parity)
-        npar[lo] = parity_add(parity[lo], m)
-        npar[hi] = parity_add(parity[hi], m)
-        if c_lo and c_hi:
-            if c_lo == c_hi:
-                ncomp = comp
-            else:
-                ncomp = tuple(c_lo if c == c_hi else c for c in comp)
-        elif c_lo:
-            ncomp = comp[:hi] + (c_lo,) + comp[hi + 1 :]
-        elif c_hi:
-            ncomp = comp[:lo] + (c_hi,) + comp[lo + 1 :]
-        else:
-            fresh = len(comp) + 1
-            ncomp = comp[:lo] + (fresh, fresh) + comp[lo + 2 :]
-        out.append((TspFrontierState(tuple(npar), relabel_components(ncomp)), m))
-    return out
+# _PARITY_AFTER[m][p]: parity of a vertex of parity p after m more edges
+_PARITY_AFTER = np.array(
+    [[parity_add(p, m) for p in (ZERO, ODD, EVEN)] for m in range(3)], dtype=np.int8
+)
+# _KEEP_MULT[p]: the edge count that leaves a degree of parity p final and
+# even: 0 if zero, 1 if odd, 2 if even
+_KEEP_MULT = np.array([0, 1, 2], dtype=np.int64)
 
 
-def _horizontal_kernel(
-    state: TspFrontierState, i: int, dep_terminal: bool
-) -> list:
-    """Segment leaving row i's frontier vertex rightward; the departing
-    vertex's degree is final after this step."""
-    parity, comp = state
-    r = i - 1
-    p = parity[r]
-    c = comp[r]
-    out = []
-    if p == ZERO:
-        if dep_terminal:
-            # zero-degree terminal is infeasible; doubled edge starts a
-            # fresh single-vertex component (degree-2 self-loop shape)
-            fresh = len(comp) + 1
-            npar = parity[:r] + (EVEN,) + parity[r + 1 :]
-            ncomp = comp[:r] + (fresh,) + comp[r + 1 :]
-            out.append(
-                (TspFrontierState(npar, relabel_components(ncomp)), 2)
-            )
-        else:
-            out.append((state, 0))
-            # doubled edge would leave a non-terminal U-turn: pruned
-    elif p == ODD:
-        out.append((state, 1))
-    else:  # EVEN: skip (unless that closes the component) or double
-        if comp.count(c) > 1:
-            npar = parity[:r] + (ZERO,) + parity[r + 1 :]
-            ncomp = comp[:r] + (0,) + comp[r + 1 :]
-            out.append((TspFrontierState(npar, relabel_components(ncomp)), 0))
-        out.append((state, 2))
-    return out
-
-
-def _kernel(state: TspFrontierState, kind: tables_mod.Kind) -> list:
+def _kernel(space: tables_mod.StateSpace, kind: tables_mod.Kind):
+    """Every (source, successor, multiplicity) candidate of one event kind,
+    for the whole state space at once, as ``tables.Kernel`` arrays with
+    canonical labels."""
+    parity, comp = space.parity_mat, space.comp_mat
+    n, h = comp.shape
     if kind[0] == "V":
-        return _vertical_kernel(state, kind[1])
-    return _horizontal_kernel(state, kind[1], kind[2])
+        # segment between rows i and i+1 (1-based): skip, single, or double
+        lo = kind[1] - 1
+        everyone = np.arange(n)
+        joined = join_rows(comp, lo)
+        blocks = [(everyone, comp, parity, 0)]
+        for m in (1, 2):
+            after = parity.copy()
+            after[:, lo : lo + 2] = _PARITY_AFTER[m][parity[:, lo : lo + 2]]
+            blocks.append((everyone, joined, after, m))
+        return tables_mod.stack_candidates(blocks)
+
+    # Horizontal: the segment leaves row i's frontier vertex rightward, and
+    # that vertex's degree is final after this step. The state is kept with
+    # the edge count that makes the degree final and even, except at a
+    # zero-degree terminal: that must double the edge, which opens a fresh
+    # single-vertex component (degree-2 self-loop shape). A zero-degree
+    # non-terminal never doubles, which would be a useless U-turn. An even
+    # vertex may also skip and leave its component, unless that strands the
+    # component (closure).
+    r = kind[1] - 1
+    p, c = parity[:, r], comp[:, r]
+    blocks = []
+    kept = np.arange(n)
+    if kind[2]:
+        opened = np.flatnonzero(p == ZERO)
+        kept = np.flatnonzero(p != ZERO)
+        after = parity[opened]
+        after[:, r] = EVEN
+        blocks.append((opened, set_label(comp[opened], r, h + 1), after, 2))
+    left = np.flatnonzero((p == EVEN) & ((comp == c[:, None]).sum(axis=1) > 1))
+    after = parity[left]
+    after[:, r] = ZERO
+    blocks.append((left, set_label(comp[left], r, 0), after, 0))
+    blocks.append((kept, comp[kept], parity[kept], _KEEP_MULT[p[kept]]))
+    return tables_mod.stack_candidates(blocks)
 
 
 def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Reference implementation of the layered sweep, for the tests only.
 
 A pure-Python sweep with one hash table per layer, keyed by packed state,
-and transitions computed state by state. It shares the per-segment kernels
-with the package but none of its table machinery, and the tests require
-it to give the same optima, edges and tours as ``solve_tsp`` and
-``solve_steiner``. Too slow for anything but small instances.
+and transitions computed state by state by its own per-state kernels. It
+shares neither the package's whole-space kernels nor its table machinery,
+and the tests require it to give the same optima, edges and tours as
+``solve_tsp`` and ``solve_steiner``. Too slow for anything but small
+instances. ``reference_table`` builds a transition table from the same
+per-state kernels, for comparison with the package's tables.
 
 Each scheduled segment is one layer transition: every state of the current
 layer is expanded through a problem-specific transition function into the
@@ -22,12 +24,15 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from rectisolve.errors import InternalInfeasibleError
 from rectisolve.geometry import EdgeEvent, HananGrid, Instance, build_grid, edge_schedule
 from rectisolve.solution import edges_from_moves, total_edge_length
 from rectisolve.states import (
     EVEN,
     ODD,
+    ZERO,
     FrontierState,
     SteinerFrontierState,
     TspFrontierState,
@@ -36,18 +41,17 @@ from rectisolve.states import (
     encode_state,
     initial_steiner_state,
     initial_tsp_state,
+    parity_add,
+    relabel_components,
+    render_state,
 )
 from rectisolve.steiner import (
     SteinerSolution,
     SteinerTree,
     validate_steiner_tree,
 )
-from rectisolve.steiner import _horizontal_kernel as _steiner_horizontal
-from rectisolve.steiner import _vertical_kernel as _steiner_vertical
-from rectisolve.tables import SweepStats
+from rectisolve.tables import Kind, KindTable, StateSpace, SweepStats
 from rectisolve.tsp import TourSubgraph, TspSolution, orient_tour, validate_tour_subgraph
-from rectisolve.tsp import _horizontal_kernel as _tsp_horizontal
-from rectisolve.tsp import _vertical_kernel as _tsp_vertical
 
 TransitionFn = Callable[[FrontierState, EdgeEvent, HananGrid], list]
 AcceptFn = Callable[[FrontierState], bool]
@@ -184,6 +188,168 @@ def replay(
                 f"replay has no multiplicity-{mult} transition at {event}"
             )
     return state, total
+
+
+# --- per-state kernels -----------------------------------------------------
+#
+# One state in, its (successor, multiplicity) pairs out. The package's
+# kernels compute the same candidates for the whole state space at once.
+
+
+def _tsp_vertical(state: TspFrontierState, i: int) -> list:
+    """Segment between rows i and i+1 (1-based): skip, single, or double."""
+    parity, comp = state
+    lo = i - 1
+    hi = i
+    out = [(state, 0)]
+    c_lo, c_hi = comp[lo], comp[hi]
+    for m in (1, 2):
+        npar = list(parity)
+        npar[lo] = parity_add(parity[lo], m)
+        npar[hi] = parity_add(parity[hi], m)
+        if c_lo and c_hi:
+            if c_lo == c_hi:
+                ncomp = comp
+            else:
+                ncomp = tuple(c_lo if c == c_hi else c for c in comp)
+        elif c_lo:
+            ncomp = comp[:hi] + (c_lo,) + comp[hi + 1 :]
+        elif c_hi:
+            ncomp = comp[:lo] + (c_hi,) + comp[lo + 1 :]
+        else:
+            fresh = len(comp) + 1
+            ncomp = comp[:lo] + (fresh, fresh) + comp[lo + 2 :]
+        out.append((TspFrontierState(tuple(npar), relabel_components(ncomp)), m))
+    return out
+
+
+def _tsp_horizontal(
+    state: TspFrontierState, i: int, dep_terminal: bool
+) -> list:
+    """Segment leaving row i's frontier vertex rightward; the departing
+    vertex's degree is final after this step."""
+    parity, comp = state
+    r = i - 1
+    p = parity[r]
+    c = comp[r]
+    out = []
+    if p == ZERO:
+        if dep_terminal:
+            # zero-degree terminal is infeasible; doubled edge starts a
+            # fresh single-vertex component (degree-2 self-loop shape)
+            fresh = len(comp) + 1
+            npar = parity[:r] + (EVEN,) + parity[r + 1 :]
+            ncomp = comp[:r] + (fresh,) + comp[r + 1 :]
+            out.append(
+                (TspFrontierState(npar, relabel_components(ncomp)), 2)
+            )
+        else:
+            out.append((state, 0))
+            # doubled edge would leave a non-terminal U-turn: pruned
+    elif p == ODD:
+        out.append((state, 1))
+    else:  # EVEN: skip (unless that closes the component) or double
+        if comp.count(c) > 1:
+            npar = parity[:r] + (ZERO,) + parity[r + 1 :]
+            ncomp = comp[:r] + (0,) + comp[r + 1 :]
+            out.append((TspFrontierState(npar, relabel_components(ncomp)), 0))
+        out.append((state, 2))
+    return out
+
+
+def _steiner_vertical(state: SteinerFrontierState, i: int) -> list:
+    comp = state.comp
+    lo = i - 1
+    hi = i
+    out = [(state, 0)]
+    c_lo, c_hi = comp[lo], comp[hi]
+    if c_lo and c_hi:
+        if c_lo == c_hi:
+            return out  # cycle
+        ncomp = tuple(c_lo if c == c_hi else c for c in comp)
+    elif c_lo:
+        ncomp = comp[:hi] + (c_lo,) + comp[hi + 1 :]
+    elif c_hi:
+        ncomp = comp[:lo] + (c_hi,) + comp[lo + 1 :]
+    else:
+        fresh = len(comp) + 1
+        ncomp = comp[:lo] + (fresh, fresh) + comp[lo + 2 :]
+    out.append((SteinerFrontierState(relabel_components(ncomp)), 1))
+    return out
+
+
+def _steiner_horizontal(
+    state: SteinerFrontierState, i: int, dep_terminal: bool
+) -> list:
+    comp = state.comp
+    r = i - 1
+    c = comp[r]
+    out = []
+    if c == 0:
+        if dep_terminal:
+            # skipping would leave the terminal with degree zero
+            fresh = len(comp) + 1
+            ncomp = comp[:r] + (fresh,) + comp[r + 1 :]
+            out.append((SteinerFrontierState(relabel_components(ncomp)), 1))
+        else:
+            # a non-terminal taking its first and last edge is a pendant: pruned
+            out.append((state, 0))
+    else:
+        if comp.count(c) > 1:  # otherwise closure
+            ncomp = comp[:r] + (0,) + comp[r + 1 :]
+            out.append((SteinerFrontierState(relabel_components(ncomp)), 0))
+        out.append((state, 1))
+    return out
+
+
+def tsp_kernel(state: TspFrontierState, kind: Kind) -> list:
+    if kind[0] == "V":
+        return _tsp_vertical(state, kind[1])
+    return _tsp_horizontal(state, kind[1], kind[2])
+
+
+def steiner_kernel(state: SteinerFrontierState, kind: Kind) -> list:
+    if kind[0] == "V":
+        return _steiner_vertical(state, kind[1])
+    return _steiner_horizontal(state, kind[1], kind[2])
+
+
+def space_states(space: StateSpace) -> list[FrontierState]:
+    """The space's states as tuples, in index order."""
+    if space.parity_mat is None:
+        return [space.state(c) for c in space.comp_mat]
+    return [space.state(c, p) for c, p in zip(space.comp_mat, space.parity_mat)]
+
+
+def reference_table(space: StateSpace, kernel, kind: Kind) -> KindTable:
+    """A kind's transition table built state by state, with a dict from
+    packed key to index: the package's table build before it was
+    vectorised. ``kernel`` is ``tsp_kernel`` or ``steiner_kernel``."""
+    states = space_states(space)
+    index = {encode_state(s): i for i, s in enumerate(states)}
+    srcs: list[int] = []
+    dsts: list[int] = []
+    mults: list[int] = []
+    for si, state in enumerate(states):
+        for new_state, m in kernel(state, kind):
+            try:
+                dsts.append(index[encode_state(new_state)])
+            except KeyError:
+                raise InternalInfeasibleError(
+                    f"kernel emitted non-canonical state "
+                    f"{render_state(new_state)} for kind {kind}"
+                ) from None
+            srcs.append(si)
+            mults.append(m)
+    src = np.array(srcs, dtype=np.int32)
+    dst = np.array(dsts, dtype=np.int32)
+    mult = np.array(mults, dtype=np.int64)
+    order = np.lexsort((mult, src, dst))
+    src, dst, mult = src[order], dst[order], mult[order]
+    boundaries = np.flatnonzero(np.diff(dst)) + 1
+    group_starts = np.concatenate(([0], boundaries))
+    group_dst = dst[group_starts]
+    return KindTable(src, mult, group_starts.astype(np.int64), group_dst)
 
 
 # --- per-state transitions and acceptance ---------------------------------

@@ -19,12 +19,12 @@ from rectisolve.states import (
     decode_state,
     enumerate_states,
     initial_tsp_state,
-    positive_states,
     super_catalan,
 )
 from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
 
+from reference_oracles import positive_states
 from reference_sweep import (
     run_sweep,
     solve_steiner_reference,

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from rectisolve.cli import main
+from rectisolve.states import count_states
 
 
 def run(capsys, *argv):
@@ -67,6 +68,16 @@ def test_states_and_count(capsys):
     assert "{(E,E,E),(1,2,3)}" in lines
     code, out, _ = run(capsys, "count", "--problem", "tsp", "--h", "8")
     assert code == 0 and out.strip() == "95200"
+
+
+def test_count_prints_every_digit(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--problem", "tsp", "--h", "6000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    digits = out.strip()
+    assert len(digits) == 5000 and digits.isdigit()
+    assert digits[-4:] == f"{count_states(6000, 'tsp') % 10**4:04d}"
 
 
 def test_gen_deterministic(tmp_path, capsys):

@@ -7,13 +7,9 @@ import pytest
 from rectisolve.errors import GuardExceeded
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import l1, make_instance
-from rectisolve.oracle import (
-    distance_matrix,
-    l1_mst,
-    steiner_exhaustive,
-    steiner_oracle,
-    tsp_bruteforce,
-)
+from rectisolve.oracle import distance_matrix, steiner_oracle, tsp_bruteforce
+
+from reference_oracles import l1_mst, steiner_exhaustive
 
 
 class TestDistanceMatrix:

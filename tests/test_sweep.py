@@ -1,12 +1,25 @@
+import numpy as np
 import pytest
 
+from rectisolve import steiner, tsp
 from rectisolve.errors import InternalInfeasibleError
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import EdgeEvent, build_grid, make_instance
-from rectisolve.states import TspFrontierState, count_states, initial_tsp_state
+from rectisolve.states import count_states, encode_state, initial_tsp_state
+from rectisolve.steiner import solve_steiner
 from rectisolve.tables import TableSet, get_space
+from rectisolve.tsp import solve_tsp
 
-from reference_sweep import reconstruct, replay, run_sweep, tsp_transition
+from reference_sweep import (
+    reconstruct,
+    reference_table,
+    replay,
+    run_sweep,
+    space_states,
+    steiner_kernel,
+    tsp_kernel,
+    tsp_transition,
+)
 
 
 def identity_transition(state, event, grid):
@@ -81,10 +94,75 @@ def test_nothing_accepted_raises():
         run_sweep(grid, initial_tsp_state(2), identity_transition, lambda s: False)
 
 
+def kinds(h):
+    return [("V", i) for i in range(1, h)] + [
+        ("H", i, terminal) for i in range(1, h + 1) for terminal in (False, True)
+    ]
+
+
+TABLE_CASES = [("tsp", h) for h in range(1, 7)] + [("steiner", h) for h in range(1, 9)]
+
+
+@pytest.mark.parametrize("problem, h", TABLE_CASES)
+def test_tables_match_reference_builder(problem, h):
+    space = get_space(problem, h)
+    keys = [encode_state(s) for s in space_states(space)]
+    assert keys == sorted(set(keys))  # index order is encode_state order
+    kernel, reference_kernel = {
+        "tsp": (tsp._kernel, tsp_kernel),
+        "steiner": (steiner._kernel, steiner_kernel),
+    }[problem]
+    tableset = TableSet(space, kernel)
+    for kind in kinds(h):
+        got = tableset.get(kind)
+        want = reference_table(space, reference_kernel, kind)
+        for field, dtype in (
+            ("src", np.int32),
+            ("mult", np.int64),
+            ("group_starts", np.int64),
+            ("group_dst", np.int32),
+        ):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype == dtype, (kind, field)
+            assert np.array_equal(a, b), (kind, field)
+
+
 def test_non_canonical_kernel_output_raises():
-    def doubled_labels(state, kind):
-        return [(TspFrontierState(state.parity, tuple(2 * c for c in state.comp)), 0)]
+    def doubled_labels(space, kind):
+        n = len(space.keys)
+        return np.arange(n), 2 * space.comp_mat, space.parity_mat, np.zeros(n)
 
     tableset = TableSet(get_space("tsp", 3), doubled_labels)
     with pytest.raises(InternalInfeasibleError, match="non-canonical"):
         tableset.get(("V", 1))
+
+
+def test_unchanged_candidates_do_not_hide_a_changed_one():
+    # every candidate but one keeps its source's state, which the build
+    # maps back to the source without a search; the one that changed must
+    # still be looked up, and is not in the space
+    space = get_space("tsp", 3)
+    last = len(space.keys) - 1  # {(E,E,E),(1,2,3)}
+
+    def one_doubled(space, kind):
+        n = len(space.keys)
+        comp = space.comp_mat.copy()
+        comp[last] *= 2
+        return np.arange(n), comp, space.parity_mat, np.zeros(n)
+
+    shown = r"non-canonical state \{\(E,E,E\),\(2,4,6\)\}"
+    with pytest.raises(InternalInfeasibleError, match=shown):
+        TableSet(space, one_doubled).get(("V", 1))
+
+
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_mirror_invariance(h):
+    # x -> -x reverses the sweep direction, so closure, U-turn and pendant
+    # pruning act on the other side of every component
+    for seed in range(10):
+        inst = gen_instance(8, h, 60, 4 * h, 500 + seed)
+        grid = build_grid(inst)
+        assert grid.h == h and not grid.transposed  # columns run along x
+        mirrored = make_instance([(-p.x, p.y) for p in inst.points])
+        assert solve_tsp(mirrored).length == solve_tsp(inst).length
+        assert solve_steiner(mirrored).length == solve_steiner(inst).length
