@@ -28,18 +28,12 @@ from .solution import (
     resolve_edges,
 )
 from .states import (
-    SteinerFrontierState,
-    TspFrontierState,
-    canonicalize_steiner,
-    canonicalize_tsp,
     catalan,
     count_states,
-    decode_state,
-    encode_state,
     enumerate_states,
-    parse_state,
-    render_state,
+    render_row,
     super_catalan,
+    unpack_states,
 )
 from .steiner import SteinerSolution, SteinerTree, solve_steiner
 from .tables import SweepStats
@@ -60,22 +54,16 @@ __all__ = [
     "Point",
     "SolutionEdge",
     "SplitMix64",
-    "SteinerFrontierState",
     "SteinerSolution",
     "SteinerTree",
     "SweepStats",
     "TourSubgraph",
-    "TspFrontierState",
     "TspSolution",
     "build_grid",
-    "canonicalize_steiner",
-    "canonicalize_tsp",
     "catalan",
     "count_states",
-    "decode_state",
     "distance_matrix",
     "edge_schedule",
-    "encode_state",
     "enumerate_states",
     "format_solution",
     "gen_instance",
@@ -84,8 +72,7 @@ __all__ = [
     "orient_tour",
     "parse_instance",
     "parse_solution",
-    "parse_state",
-    "render_state",
+    "render_row",
     "render_svg",
     "resolve_edges",
     "solve_steiner",
@@ -93,6 +80,7 @@ __all__ = [
     "steiner_oracle",
     "super_catalan",
     "tsp_bruteforce",
+    "unpack_states",
     "validate_tour_subgraph",
     "write_instance",
 ]

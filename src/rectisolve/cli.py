@@ -15,7 +15,7 @@ from .geometry import parse_instance, write_instance
 from .oracle import steiner_oracle, tsp_bruteforce
 from .render import render_svg
 from .solution import format_solution, parse_solution, resolve_edges
-from .states import count_states, encode_state, enumerate_states, render_state
+from .states import count_states, enumerate_states, render_row, unpack_states
 from .steiner import solve_steiner
 from .tsp import solve_tsp
 
@@ -87,8 +87,13 @@ def _cmd_oracle_steiner(args) -> int:
 
 
 def _cmd_states(args) -> int:
-    states = sorted(enumerate_states(args.h, args.problem), key=encode_state)
-    text = "\n".join(render_state(s) for s in states) + "\n"
+    keys = enumerate_states(args.h, args.problem)
+    comp, parity = unpack_states(keys, args.h, args.problem)
+    if parity is None:
+        rows = map(render_row, comp.tolist())
+    else:
+        rows = map(render_row, comp.tolist(), parity.tolist())
+    text = "\n".join(rows) + "\n"
     _write_text(args.output, text)
     return 0
 

@@ -49,23 +49,3 @@ class InternalInfeasibleError(RuntimeError):
 
 class NotEulerianError(InternalInfeasibleError):
     """Tour extraction was handed a subgraph without an Eulerian circuit."""
-
-
-class InvalidStateError(ValueError):
-    """A raw frontier state violates a structural invariant."""
-
-
-class CrossingPartition(InvalidStateError):
-    pass
-
-
-class OddCountViolation(InvalidStateError):
-    pass
-
-
-class SingletonNotEven(InvalidStateError):
-    pass
-
-
-class ParityComponentMismatch(InvalidStateError):
-    pass

@@ -71,6 +71,19 @@ def _check_coord(x: int, y: int, line: int | None):
         raise CoordinateRangeError(f"coordinate out of range: {x} {y}", line)
 
 
+def _long_coord(token: str, line: int) -> int:
+    """A signed decimal token of any length as an int. One with more
+    significant digits than COORD_LIMIT is out of range, and is refused on
+    its length alone."""
+    digits = token.lstrip("+-").lstrip("0")
+    if len(digits) > len(str(COORD_LIMIT)):
+        raise CoordinateRangeError(
+            f"coordinate out of range: a {len(digits)}-digit value", line
+        )
+    value = int(digits or "0")
+    return -value if token.startswith("-") else value
+
+
 _POINT_LINE = re.compile(r"^([+-]?\d+) ([+-]?\d+)$")
 
 
@@ -101,7 +114,10 @@ def parse_instance(text: str) -> Instance:
         m = _POINT_LINE.match(line)
         if not m:
             raise MalformedLineError(f"expected 'x y', got {line!r}", lineno)
-        x, y = int(m.group(1)), int(m.group(2))
+        try:
+            x, y = int(m.group(1)), int(m.group(2))
+        except ValueError:  # int() refuses more than 4300 digits
+            x, y = _long_coord(m.group(1), lineno), _long_coord(m.group(2), lineno)
         _check_coord(x, y, lineno)
         lines_seen += 1
         if lines_seen > declared:

@@ -54,6 +54,13 @@ def format_solution(edges: list[SolutionEdge], length: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field(token: str, lineno: int, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:  # not an integer, or one of more than 4300 digits
+        raise InputError(f"solution line {lineno}: cannot parse {line!r}") from None
+
+
 def parse_solution(text: str) -> tuple[int, list[tuple[str, int, int, int]]]:
     """Parse the edge-list text; returns (length, raw (kind,i,j,mult) rows)."""
     length = None
@@ -64,9 +71,10 @@ def parse_solution(text: str) -> tuple[int, list[tuple[str, int, int, int]]]:
             continue
         parts = line.split()
         if parts[0] == "length" and len(parts) == 2:
-            length = int(parts[1])
+            length = _field(parts[1], lineno, line)
         elif parts[0] in ("V", "H") and len(parts) == 4:
-            raw.append((parts[0], int(parts[1]), int(parts[2]), int(parts[3])))
+            i, j, mult = (_field(t, lineno, line) for t in parts[1:])
+            raw.append((parts[0], i, j, mult))
         else:
             raise InputError(f"solution line {lineno}: cannot parse {line!r}")
     if length is None:

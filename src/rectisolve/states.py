@@ -11,6 +11,11 @@ Component labels are canonical: scanning rows bottom to top, first
 appearances are numbered 1, 2, 3, ... Label 0 marks a row without a
 component (degree zero), rendered as "-".
 
+A state has one form in the package: a packed int64 key, with one field
+of bits per row, and for a whole state space the two (N, h) int8 matrices
+of labels and parities that ``unpack_states`` makes from the keys. The
+all-empty state packs to key 0, so it comes first in any sorted key array.
+
 The number of tour states on h rows is the binomial transform of the
 little Schroeder numbers; the tree states are counted by the binomial
 transform of the Catalan numbers. Both closed forms are exposed here and
@@ -19,88 +24,77 @@ cross-checked against exhaustive enumeration in the tests.
 
 from __future__ import annotations
 
-import re
 from math import comb
-from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    CrossingPartition,
-    GuardExceeded,
-    InputError,
-    OddCountViolation,
-    ParityComponentMismatch,
-    SingletonNotEven,
-)
+from .errors import GuardExceeded, InputError
 
 ZERO, ODD, EVEN = 0, 1, 2
 
 _PARITY_CHAR = {ZERO: "0", ODD: "U", EVEN: "E"}
-_PARITY_CODE = {"0": ZERO, "U": ODD, "E": EVEN, 0: ZERO, 1: ODD, 2: EVEN}
 
 # The one size guard: every solve enumerates its state space first, so this
 # refuses tsp h >= 10 and steiner h >= 12 before anything is allocated.
 # The state count grows as ~6.8^h (tsp) and ~5^h (steiner).
 MAX_STATES = 1_000_000
 
+# --- packed keys ---------------------------------------------------------
+#
+# Row i of a state occupies the key's i-th field: 6 bits, (parity << 4) |
+# label, for the tour variant; 4 bits, the label alone, for the tree
+# variant. Canonical labels are at most h (11 at the guard's largest
+# space) and parities at most 2, so the packing is lossless: 54 bits at
+# tsp h=9, 44 at steiner h=11. Keys sort field by field from the top row
+# down, parity before label.
 
-def parity_add(p: int, m: int) -> int:
-    """Degree-parity arithmetic: add m incident edges (m in 0..2)."""
-    if m == 0:
-        return p
-    if p == ZERO:
-        return ODD if m == 1 else EVEN
-    if m == 2:
-        return p
-    return EVEN if p == ODD else ODD
-
-
-class TspFrontierState(NamedTuple):
-    parity: tuple[int, ...]
-    comp: tuple[int, ...]
+_LABEL_BITS = 4
+MAX_LABEL = (1 << _LABEL_BITS) - 1
 
 
-class SteinerFrontierState(NamedTuple):
-    comp: tuple[int, ...]
+def _field_bits(tsp: bool) -> int:
+    return _LABEL_BITS + 2 if tsp else _LABEL_BITS
 
 
-FrontierState = Union[TspFrontierState, SteinerFrontierState]
+def pack_states(comp: np.ndarray, parity: np.ndarray | None) -> np.ndarray:
+    """One int64 key per row of a label (and parity) matrix."""
+    width = _field_bits(parity is not None)
+    keys = np.zeros(len(comp), dtype=np.int64)
+    for i in range(comp.shape[1] - 1, -1, -1):
+        keys <<= width
+        keys |= comp[:, i]
+        if parity is not None:
+            keys |= parity[:, i].astype(np.int64) << _LABEL_BITS
+    return keys
 
 
-def initial_tsp_state(h: int) -> TspFrontierState:
-    return TspFrontierState((ZERO,) * h, (0,) * h)
-
-
-def initial_steiner_state(h: int) -> SteinerFrontierState:
-    return SteinerFrontierState((0,) * h)
-
-
-def relabel_components(comp: Sequence[int]) -> tuple[int, ...]:
-    """Renumber labels by first appearance; 0 entries stay 0."""
-    mapping: dict[int, int] = {}
-    out = []
-    for c in comp:
-        if c == 0:
-            out.append(0)
-        else:
-            m = mapping.get(c)
-            if m is None:
-                m = len(mapping) + 1
-                mapping[c] = m
-            out.append(m)
-    return tuple(out)
+def unpack_states(
+    keys: np.ndarray, h: int, problem: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (N, h) int8 label and parity matrices of packed keys; the parity
+    matrix is None for the tree variant. Works one column at a time, so no
+    (N, h) int64 intermediate is made."""
+    tsp = problem == "tsp"
+    width = _field_bits(tsp)
+    comp = np.empty((len(keys), h), dtype=np.int8)
+    parity = np.empty_like(comp) if tsp else None
+    for i in range(h):
+        field = keys >> (width * i)
+        comp[:, i] = field & MAX_LABEL
+        if tsp:
+            parity[:, i] = (field >> _LABEL_BITS) & 3
+    return comp, parity
 
 
 # --- whole label matrices -------------------------------------------------
 #
-# The table build works on (M, h) int8 label matrices, one state per row.
-# These are the vectorised counterparts of relabel_components and of the
-# two label changes a segment can make.
+# The kernels work on (M, h) int8 label matrices, one state per row: the
+# canonical relabel, and the two label changes a segment can make.
 
 
 def relabel_rows(comp: np.ndarray) -> np.ndarray:
-    """relabel_components applied to every row of a label matrix."""
+    """Every row of a label matrix renumbered by first appearance, bottom
+    row first; 0 entries stay 0."""
     m, h = comp.shape
     if m == 0:
         return comp.copy()
@@ -149,138 +143,17 @@ def set_label(comp: np.ndarray, r: int, label: int) -> np.ndarray:
     return relabel_rows(out)
 
 
-def _check_noncrossing(comp: Sequence[int]):
-    """Reject interleaved components via the open-block stack discipline."""
-    stack: list[int] = []
-    closed: set[int] = set()
-    for c in comp:
-        if c == 0:
-            continue
-        if stack and stack[-1] == c:
-            continue
-        if c in stack:
-            while stack[-1] != c:
-                closed.add(stack.pop())
-        elif c in closed:
-            raise CrossingPartition(f"components interleave: {tuple(comp)}")
-        else:
-            stack.append(c)
-
-
-def _normalize_comp(raw_comp: Sequence) -> list[int]:
-    out = []
-    for c in raw_comp:
-        if c is None or c == 0:
-            out.append(0)
-        elif isinstance(c, int) and c > 0:
-            out.append(c)
-        else:
-            raise InputError(f"component label must be None or positive: {c!r}")
-    return out
-
-
-def canonicalize_tsp(raw_parity: Sequence, raw_comp: Sequence) -> TspFrontierState:
-    """Validate and canonically relabel a tour frontier state.
-
-    Raises ParityComponentMismatch, CrossingPartition, SingletonNotEven or
-    OddCountViolation when the state is structurally impossible.
-    """
-    if len(raw_parity) != len(raw_comp) or not raw_parity:
-        raise InputError("parity and component vectors must have equal length >= 1")
-    parity = [_PARITY_CODE[p] for p in raw_parity]
-    comp = _normalize_comp(raw_comp)
-    for p, c in zip(parity, comp):
-        if (p == ZERO) != (c == 0):
-            raise ParityComponentMismatch(
-                f"parity {_PARITY_CHAR[p]} with component {c or '-'}"
-            )
-    _check_noncrossing(comp)
-    comp_t = relabel_components(comp)
-    members: dict[int, list[int]] = {}
-    for p, c in zip(parity, comp_t):
-        if c:
-            members.setdefault(c, []).append(p)
-    for c, ps in members.items():
-        if len(ps) == 1 and ps[0] != EVEN:
-            raise SingletonNotEven(f"component {c} is a non-even singleton")
-        if sum(1 for p in ps if p == ODD) % 2:
-            raise OddCountViolation(f"component {c} has an odd number of U rows")
-    return TspFrontierState(tuple(parity), comp_t)
-
-
-def canonicalize_steiner(raw_comp: Sequence) -> SteinerFrontierState:
-    """Validate and canonically relabel a tree frontier state."""
-    if not raw_comp:
-        raise InputError("component vector must have length >= 1")
-    comp = _normalize_comp(raw_comp)
-    _check_noncrossing(comp)
-    return SteinerFrontierState(relabel_components(comp))
-
-
-# --- fixed-width packing -------------------------------------------------
-#
-# One byte per row: bits 6-7 parity, bits 0-5 component label (0 = none).
-# Injective for h <= 16 since a non-crossing partition has <= h <= 16 parts.
-
-
-def encode_state(state: FrontierState) -> int:
-    key = 0
-    if isinstance(state, TspFrontierState):
-        for i, (p, c) in enumerate(zip(state.parity, state.comp)):
-            key |= ((p << 6) | c) << (8 * i)
-    else:
-        for i, c in enumerate(state.comp):
-            key |= c << (8 * i)
-    return key
-
-
-def decode_state(key: int, h: int, problem: str) -> FrontierState:
-    if problem == "tsp":
-        parity = []
-        comp = []
-        for i in range(h):
-            b = (key >> (8 * i)) & 0xFF
-            parity.append(b >> 6)
-            comp.append(b & 0x3F)
-        return TspFrontierState(tuple(parity), tuple(comp))
-    if problem == "steiner":
-        return SteinerFrontierState(
-            tuple((key >> (8 * i)) & 0xFF for i in range(h))
-        )
-    raise InputError(f"unknown problem {problem!r}")
-
-
 # --- rendering -----------------------------------------------------------
 
 
-def render_state(state: FrontierState) -> str:
-    comps = ",".join(str(c) if c else "-" for c in state.comp)
-    if isinstance(state, TspFrontierState):
-        pars = ",".join(_PARITY_CHAR[p] for p in state.parity)
-        return f"{{({pars}),({comps})}}"
-    return f"({comps})"
-
-
-_STATE_TOKEN = re.compile(r"\(([^()]*)\)")
-
-
-def parse_state(text: str, problem: str) -> FrontierState:
-    """Inverse of render_state; input is validated and canonicalized."""
-    groups = _STATE_TOKEN.findall(text)
-    if problem == "tsp":
-        if len(groups) != 2:
-            raise InputError(f"expected two vectors in {text!r}")
-        parity = [t.strip() for t in groups[0].split(",")]
-        comp = [_parse_label(t) for t in groups[1].split(",")]
-        return canonicalize_tsp(parity, comp)
-    if len(groups) != 1:
-        raise InputError(f"expected one vector in {text!r}")
-    return canonicalize_steiner([_parse_label(t) for t in groups[0].split(",")])
-
-
-def _parse_label(token: str):
-    token = token.strip()
-    return None if token == "-" else int(token)
+def render_row(comp_row, parity_row=None) -> str:
+    """One state as text: "{(E,E,0),(1,2,-)}" for a tour state, "(1,1,-)"
+    for a tree state. A parity outside ZERO/ODD/EVEN shows as its number."""
+    comps = ",".join(str(c) if c else "-" for c in comp_row)
+    if parity_row is None:
+        return f"({comps})"
+    pars = ",".join(_PARITY_CHAR.get(p, str(p)) for p in parity_row)
+    return f"{{({pars}),({comps})}}"
 
 
 # --- counting ------------------------------------------------------------
@@ -334,14 +207,15 @@ def count_states(h: int, problem: str) -> int:
 # --- exhaustive enumeration ----------------------------------------------
 
 
-def enumerate_states(h: int, problem: str) -> frozenset:
-    """All canonical states on h rows, built directly.
+def enumerate_states(h: int, problem: str) -> np.ndarray:
+    """The packed keys of all canonical states on h rows, ascending.
 
     Rows are scanned bottom to top keeping a stack of open components; a
     row may stay unlabeled, join an open component (closing every component
     opened after it, which non-crossing demands), or open a fresh one. For
     the tour variant each labeled row picks parity U or E and a component
-    may only close with an even number of U rows.
+    may only close with an even number of U rows. The key is built up field
+    by field on the way down.
 
     Raises GuardExceeded, before allocating anything, when h < 1 or the
     space holds more than MAX_STATES states.
@@ -366,48 +240,41 @@ def enumerate_states(h: int, problem: str) -> frozenset:
             f"above the limit of {MAX_STATES}"
         )
 
-    parity = [ZERO] * h
-    comp = [0] * h
+    width = _field_bits(tsp)
     stack: list[list[int]] = []  # [label, odd_row_count] per open component
-    out: list[FrontierState] = []
-    parities = (ODD, EVEN) if tsp else (EVEN,)
+    out: list[int] = []
+    # (is odd, parity bits of the field) per parity a labeled row may take
+    parities = ((True, ODD << _LABEL_BITS), (False, EVEN << _LABEL_BITS))
+    if not tsp:
+        parities = ((False, 0),)
 
-    def emit():
-        if tsp:
-            if any(odd % 2 for _, odd in stack):
-                return
-            out.append(TspFrontierState(tuple(parity), tuple(comp)))
-        else:
-            out.append(SteinerFrontierState(tuple(comp)))
-
-    def visit(r: int, next_label: int):
+    def visit(r: int, next_label: int, key: int):
         if r == h:
-            emit()
+            if not (tsp and any(odd % 2 for _, odd in stack)):
+                out.append(key)
             return
-        parity[r] = ZERO
-        comp[r] = 0
-        visit(r + 1, next_label)
+        visit(r + 1, next_label, key)
+        shift = width * r
         for d in range(len(stack) - 1, -1, -1):
             if tsp and d + 1 < len(stack) and stack[d + 1][1] % 2:
                 break  # a component above d cannot close; neither can deeper joins
             popped = stack[d + 1 :]
             del stack[d + 1 :]
             entry = stack[d]
-            comp[r] = entry[0]
-            for p in parities:
-                parity[r] = p
-                entry[1] += p == ODD
-                visit(r + 1, next_label)
-                entry[1] -= p == ODD
+            for odd, bits in parities:
+                entry[1] += odd
+                visit(r + 1, next_label, key | (bits | entry[0]) << shift)
+                entry[1] -= odd
             stack.extend(popped)
-        stack.append([next_label, 0])
-        comp[r] = next_label
-        for p in parities:
-            parity[r] = p
-            stack[-1][1] += p == ODD
-            visit(r + 1, next_label + 1)
-            stack[-1][1] -= p == ODD
+        entry = [next_label, 0]
+        stack.append(entry)
+        for odd, bits in parities:
+            entry[1] += odd
+            visit(r + 1, next_label + 1, key | (bits | next_label) << shift)
+            entry[1] -= odd
         stack.pop()
 
-    visit(0, 1)
-    return frozenset(out)
+    visit(0, 1, 0)
+    keys = np.array(out, dtype=np.int64)
+    keys.sort()
+    return keys

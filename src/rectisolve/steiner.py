@@ -33,7 +33,7 @@ from .solution import (
     edges_from_moves,
     total_edge_length,
 )
-from .states import initial_steiner_state, join_rows, set_label
+from .states import join_rows, set_label
 from . import tables as tables_mod
 from .tables import SweepStats
 
@@ -118,9 +118,7 @@ def solve_steiner(
     grid = build_grid(instance, max_grid_vertices)
     tableset = tables_mod.get_tableset("steiner", grid.h, _kernel)
     mask = _accept_mask(tableset.space, grid.terminal_rows_last_col())
-    res = tables_mod.run_vector_sweep(
-        grid, tableset, initial_steiner_state(grid.h), mask, mult_max=1, trace=trace
-    )
+    res = tables_mod.run_vector_sweep(grid, tableset, mask, mult_max=1, trace=trace)
     length, stats = res.cost, res.stats
     moves = tables_mod.reconstruct_vector(res, tableset) if trace else None
 

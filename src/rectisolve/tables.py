@@ -1,22 +1,27 @@
 """Layered shortest-path sweep over the fully enumerated state space.
 
-The whole state space is enumerated once and held as two (N, h) int8
-matrices, per-row parities (tour variant) and component labels, sorted by
-packed key. Each distinct event shape ("kind": segment orientation, row,
-and for a horizontal segment whether it departs a terminal) gets a
-precomputed transition table of (source index, destination index,
-multiplicity) triples. Processing one event is then a gather + grouped
-minimum over numpy arrays. Equal costs are broken toward the smallest
+The whole state space is enumerated once as the ascending array of its
+packed int64 keys (``states.enumerate_states``); a state's index is its
+position there. The keys are unpacked into two (N, h) int8 matrices,
+per-row parities (tour variant) and component labels, which are all the
+kernels see. The all-empty state packs to key 0, so every sweep starts
+from index 0 alone.
+
+Each distinct event shape ("kind": segment orientation, row, and for a
+horizontal segment whether it departs a terminal) gets a precomputed
+transition table of (source index, destination index, multiplicity)
+triples. Processing one event is then a gather + grouped minimum over
+numpy arrays. Equal costs are broken toward the smallest
 (source index, multiplicity) pair; sources are sorted by packed key, so
 this is the smallest (predecessor key, multiplicity) pair.
 
 A table is built with numpy over the whole space at once. The solver's
 kernel maps every state to its candidate successors, as arrays of source
 index, labels, parities and multiplicity. Each candidate is packed into an
-int64 key; one that kept its source's key goes back to that source, and
-the rest are looked up by binary search in the sorted key array. A
-candidate that is not there is not a canonical state, which is a kernel
-bug and raises InternalInfeasibleError.
+int64 key (``states.pack_states``); one that kept its source's key goes
+back to that source, and the rest are looked up by binary search in the
+sorted key array. A candidate that is not there is not a canonical state,
+which is a kernel bug and raises InternalInfeasibleError.
 
 Tables depend only on (problem, h), never on segment lengths or column
 positions, so they are cached and shared across instances and runs.
@@ -35,25 +40,13 @@ import numpy as np
 
 from .errors import InternalInfeasibleError
 from .geometry import EdgeEvent, HananGrid, edge_schedule
-from .states import (
-    FrontierState,
-    SteinerFrontierState,
-    TspFrontierState,
-    enumerate_states,
-    render_state,
-)
+from .states import MAX_LABEL, enumerate_states, pack_states, render_row, unpack_states
 
 Kind = tuple
 # (space, kind) -> (src, comp, parity, mult): one candidate per entry, with
 # its (M, h) labels and parities (None for the tree variant).
 Candidates = tuple[np.ndarray, np.ndarray, "np.ndarray | None", np.ndarray]
 Kernel = Callable[["StateSpace", Kind], Candidates]
-
-# Canonical labels are at most h (11 at the guard's largest space) and
-# parities at most 2, so 4 bits per label and 2 more per parity pack a
-# state losslessly into an int64: 54 bits at tsp h=9, 44 at steiner h=11.
-_LABEL_BITS = 4
-_MAX_LABEL = (1 << _LABEL_BITS) - 1
 
 
 @dataclass
@@ -62,23 +55,6 @@ class SweepStats:
     max_layer_states: int
     total_expansions: int
     wall_ms: float
-
-
-def pack_states(comp: np.ndarray, parity: np.ndarray | None) -> np.ndarray:
-    """One int64 key per row of a label (and parity) matrix.
-
-    Row i of a state occupies the key's i-th field, (parity << 4) | label,
-    so keys sort exactly like ``encode_state``: field by field from the
-    top row down, parity before label.
-    """
-    width = _LABEL_BITS if parity is None else _LABEL_BITS + 2
-    keys = np.zeros(len(comp), dtype=np.int64)
-    for i in range(comp.shape[1] - 1, -1, -1):
-        keys <<= width
-        keys |= comp[:, i]
-        if parity is not None:
-            keys |= parity[:, i].astype(np.int64) << _LABEL_BITS
-    return keys
 
 
 def stack_candidates(blocks) -> Candidates:
@@ -103,21 +79,6 @@ class StateSpace:
     parity_mat: np.ndarray | None  # (N, h) int8, tour variant only
     comp_mat: np.ndarray  # (N, h) int8
 
-    def state(self, comp_row, parity_row=None) -> FrontierState:
-        """A row of the matrices (or of kernel output) as a tuple state."""
-        comp = tuple(int(c) for c in comp_row)
-        if self.parity_mat is None:
-            return SteinerFrontierState(comp)
-        return TspFrontierState(tuple(int(p) for p in parity_row), comp)
-
-    def position(self, state: FrontierState) -> int:
-        """Index of a canonical state."""
-        comp = np.array([state.comp], dtype=np.int8)
-        parity = None
-        if self.parity_mat is not None:
-            parity = np.array([state.parity], dtype=np.int8)
-        return int(np.searchsorted(self.keys, pack_states(comp, parity)[0]))
-
 
 _SPACES: dict[tuple[str, int], StateSpace] = {}
 _TABLES: dict[tuple[str, int], "TableSet"] = {}
@@ -127,17 +88,9 @@ def get_space(problem: str, h: int) -> StateSpace:
     cached = _SPACES.get((problem, h))
     if cached is not None:
         return cached
-    states = list(enumerate_states(h, problem))
-    comp_mat = np.array([s.comp for s in states], dtype=np.int8)
-    parity_mat = None
-    if problem == "tsp":
-        parity_mat = np.array([s.parity for s in states], dtype=np.int8)
-    del states
-    keys = pack_states(comp_mat, parity_mat)
-    order = np.argsort(keys)
-    if parity_mat is not None:
-        parity_mat = parity_mat[order]
-    space = StateSpace(problem, h, keys[order], parity_mat, comp_mat[order])
+    keys = enumerate_states(h, problem)
+    comp_mat, parity_mat = unpack_states(keys, h, problem)
+    space = StateSpace(problem, h, keys, parity_mat, comp_mat)
     _SPACES[(problem, h)] = space
     return space
 
@@ -169,7 +122,7 @@ class TableSet:
         space = self.space
         src, comp, parity, mult = self.kernel(space, kind)
         # a value outside the packed fields would alias another state's key
-        bad = (comp < 0) | (comp > _MAX_LABEL)
+        bad = (comp < 0) | (comp > MAX_LABEL)
         if parity is not None:
             bad |= (parity < 0) | (parity > 2)
         if bad.any():
@@ -194,11 +147,8 @@ class TableSet:
         return KindTable(src, mult, group_starts.astype(np.int64), group_dst)
 
     def _raise_non_canonical(self, kind: Kind, comp, parity, r):
-        state = self.space.state(comp[r], None if parity is None else parity[r])
-        try:
-            shown = render_state(state)
-        except KeyError:  # a parity outside ZERO/ODD/EVEN
-            shown = repr(state)
+        parity_row = None if parity is None else parity[r].tolist()
+        shown = render_row(comp[r].tolist(), parity_row)
         raise InternalInfeasibleError(
             f"kernel emitted non-canonical state {shown} for kind {kind}"
         )
@@ -233,7 +183,6 @@ class VectorResult:
 def run_vector_sweep(
     grid: HananGrid,
     tableset: TableSet,
-    initial_state: FrontierState,
     accept_mask: np.ndarray,
     mult_max: int,
     trace: bool = True,
@@ -251,7 +200,7 @@ def run_vector_sweep(
         dtype, inf = np.int64, np.int64(2**62)
 
     cost = np.full(n, inf, dtype=dtype)
-    cost[space.position(initial_state)] = 0
+    cost[0] = 0  # the all-empty state: key 0, the smallest
     layers = [cost.copy()] if trace else None
     max_states = 1
     expansions = 0

@@ -40,15 +40,7 @@ from .solution import (
     edges_from_moves,
     total_edge_length,
 )
-from .states import (
-    EVEN,
-    ODD,
-    ZERO,
-    initial_tsp_state,
-    join_rows,
-    parity_add,
-    set_label,
-)
+from .states import EVEN, ODD, ZERO, join_rows, set_label
 from . import tables as tables_mod
 from .tables import SweepStats
 
@@ -72,9 +64,15 @@ class TspSolution:
 
 # --- transitions ----------------------------------------------------------
 
-# _PARITY_AFTER[m][p]: parity of a vertex of parity p after m more edges
+# _PARITY_AFTER[m][p]: parity of a vertex of parity p (ZERO, ODD, EVEN)
+# after m more edges
 _PARITY_AFTER = np.array(
-    [[parity_add(p, m) for p in (ZERO, ODD, EVEN)] for m in range(3)], dtype=np.int8
+    [
+        [ZERO, ODD, EVEN],
+        [ODD, EVEN, ODD],
+        [EVEN, ODD, EVEN],
+    ],
+    dtype=np.int8,
 )
 # _KEEP_MULT[p]: the edge count that leaves a degree of parity p final and
 # even: 0 if zero, 1 if odd, 2 if even
@@ -159,9 +157,7 @@ def solve_tsp(
     grid = build_grid(instance, max_grid_vertices)
     tableset = tables_mod.get_tableset("tsp", grid.h, _kernel)
     mask = _accept_mask(tableset.space, grid.terminal_rows_last_col())
-    res = tables_mod.run_vector_sweep(
-        grid, tableset, initial_tsp_state(grid.h), mask, mult_max=2, trace=trace
-    )
+    res = tables_mod.run_vector_sweep(grid, tableset, mask, mult_max=2, trace=trace)
     length, stats = res.cost, res.stats
     moves = tables_mod.reconstruct_vector(res, tableset) if trace else None
 

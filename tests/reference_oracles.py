@@ -1,19 +1,16 @@
 """Reference computations that only the tests use.
 
-``steiner_exhaustive`` validates the tree oracle on tiny grids, ``l1_mst``
-brackets it, and ``positive_states`` counts the states whose every row
-carries a component (the Schroeder and Catalan numbers).
+``steiner_exhaustive`` validates the tree oracle on tiny grids, and
+``l1_mst`` brackets it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
 
 from rectisolve.errors import GuardExceeded
 from rectisolve.geometry import Instance, l1
 from rectisolve.oracle import _grid_graph
-from rectisolve.states import FrontierState
 
 MAX_EXHAUSTIVE_EDGES = 14
 
@@ -82,7 +79,3 @@ def l1_mst(instance: Instance) -> int:
                     cost[i] = d
     return total
 
-
-def positive_states(states: Iterable[FrontierState]) -> frozenset:
-    """Restriction to states where every row carries a component."""
-    return frozenset(s for s in states if all(c != 0 for c in s.comp))

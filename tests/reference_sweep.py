@@ -1,8 +1,9 @@
 """Reference implementation of the layered sweep, for the tests only.
 
-A pure-Python sweep with one hash table per layer, keyed by packed state,
-and transitions computed state by state by its own per-state kernels. It
-shares neither the package's whole-space kernels nor its table machinery,
+A pure-Python sweep over tuple states (``reference_states.py``) with one
+hash table per layer, keyed by ``encode_state``, and transitions computed
+state by state by its own per-state kernels. It shares neither the
+package's state format, its whole-space kernels nor its table machinery,
 and the tests require it to give the same optima, edges and tours as
 ``solve_tsp`` and ``solve_steiner``. Too slow for anything but small
 instances. ``reference_table`` builds a transition table from the same
@@ -29,10 +30,16 @@ import numpy as np
 from rectisolve.errors import InternalInfeasibleError
 from rectisolve.geometry import EdgeEvent, HananGrid, Instance, build_grid, edge_schedule
 from rectisolve.solution import edges_from_moves, total_edge_length
-from rectisolve.states import (
-    EVEN,
-    ODD,
-    ZERO,
+from rectisolve.states import EVEN, ODD, ZERO
+from rectisolve.steiner import (
+    SteinerSolution,
+    SteinerTree,
+    validate_steiner_tree,
+)
+from rectisolve.tables import Kind, KindTable, StateSpace, SweepStats
+from rectisolve.tsp import TourSubgraph, TspSolution, orient_tour, validate_tour_subgraph
+
+from reference_states import (
     FrontierState,
     SteinerFrontierState,
     TspFrontierState,
@@ -44,14 +51,8 @@ from rectisolve.states import (
     parity_add,
     relabel_components,
     render_state,
+    states_from_matrices,
 )
-from rectisolve.steiner import (
-    SteinerSolution,
-    SteinerTree,
-    validate_steiner_tree,
-)
-from rectisolve.tables import Kind, KindTable, StateSpace, SweepStats
-from rectisolve.tsp import TourSubgraph, TspSolution, orient_tour, validate_tour_subgraph
 
 TransitionFn = Callable[[FrontierState, EdgeEvent, HananGrid], list]
 AcceptFn = Callable[[FrontierState], bool]
@@ -314,18 +315,11 @@ def steiner_kernel(state: SteinerFrontierState, kind: Kind) -> list:
     return _steiner_horizontal(state, kind[1], kind[2])
 
 
-def space_states(space: StateSpace) -> list[FrontierState]:
-    """The space's states as tuples, in index order."""
-    if space.parity_mat is None:
-        return [space.state(c) for c in space.comp_mat]
-    return [space.state(c, p) for c, p in zip(space.comp_mat, space.parity_mat)]
-
-
 def reference_table(space: StateSpace, kernel, kind: Kind) -> KindTable:
     """A kind's transition table built state by state, with a dict from
     packed key to index: the package's table build before it was
     vectorised. ``kernel`` is ``tsp_kernel`` or ``steiner_kernel``."""
-    states = space_states(space)
+    states = states_from_matrices(space.comp_mat, space.parity_mat)
     index = {encode_state(s): i for i, s in enumerate(states)}
     srcs: list[int] = []
     dsts: list[int] = []

@@ -13,18 +13,20 @@ from rectisolve.geometry import build_grid, l1, make_instance
 from rectisolve.oracle import steiner_oracle, tsp_bruteforce
 from rectisolve.solution import UnionFind
 from rectisolve.states import (
-    canonicalize_steiner,
-    canonicalize_tsp,
     count_states,
-    decode_state,
     enumerate_states,
-    initial_tsp_state,
     super_catalan,
+    unpack_states,
 )
 from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
 
-from reference_oracles import positive_states
+from reference_states import (
+    canonicalize_steiner,
+    canonicalize_tsp,
+    initial_tsp_state,
+    package_states,
+)
 from reference_sweep import (
     run_sweep,
     solve_steiner_reference,
@@ -50,9 +52,11 @@ def test_criterion_1_state_count_reproduction():
     t0 = time.perf_counter()
     for h in range(1, 9):
         assert count_states(h, "tsp") == TSP_STATE_COUNTS[h - 1]
-        states = enumerate_states(h, "tsp")
-        assert len(states) == TSP_STATE_COUNTS[h - 1]
-        assert len(positive_states(states)) == TSP_POSITIVE_COUNTS[h - 1]
+        keys = enumerate_states(h, "tsp")
+        assert len(keys) == TSP_STATE_COUNTS[h - 1]
+        comp, _ = unpack_states(keys, h, "tsp")
+        positive = int((comp != 0).all(axis=1).sum())  # every row labeled
+        assert positive == TSP_POSITIVE_COUNTS[h - 1]
         assert super_catalan(h) == TSP_POSITIVE_COUNTS[h - 1]
     for h in range(1, 12):
         assert count_states(h, "steiner") == STEINER_STATE_COUNTS[h - 1]
@@ -203,15 +207,15 @@ def test_criterion_7_invariance_suite():
         assert solve_steiner(moved, trace=False).length == sbase
     # canonicalization idempotence
     for h in (3, 5):
-        for state in enumerate_states(h, "tsp"):
+        for state in package_states(h, "tsp"):
             assert canonicalize_tsp(state.parity, state.comp) == state
-        for state in enumerate_states(h, "steiner"):
+        for state in package_states(h, "steiner"):
             assert canonicalize_steiner(state.comp) == state
     # 20 random full solves at h=6 with the reference sweep: every state
     # generated by the transition functions is re-validated, and reachable
     # states are contained in the enumerated space
-    all_tsp_states = enumerate_states(6, "tsp")
-    all_steiner_states = enumerate_states(6, "steiner")
+    all_tsp_states = set(package_states(6, "tsp"))
+    all_steiner_states = set(package_states(6, "steiner"))
     for k in range(10):
         inst = gen_instance(8, 6, 60, 24, 4400 + k)
         sol = solve_tsp_reference(inst)
@@ -224,8 +228,8 @@ def test_criterion_7_invariance_suite():
     grid = build_grid(inst)
     res = run_sweep(grid, initial_tsp_state(6), tsp_transition, lambda s: True)
     for layer in res.trace.layers:
-        for key in layer:
-            assert decode_state(key, 6, "tsp") in all_tsp_states
+        for entry in layer.values():
+            assert entry.state in all_tsp_states
     report(7, "transposition/translation invariant; 20 checked reference solves clean")
 
 

@@ -133,6 +133,34 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("length abc\n", 1),
+        ("length 30\nV 1 x 1\n", 2),
+        ("length 30\nH 1 1 " + "1" * 5000 + "\n", 2),  # past int()'s limit
+    ],
+    ids=["length", "field", "5000-digits"],
+)
+def test_render_malformed_solution_exits_2(tmp_path, capsys, text, lineno):
+    inst = write_instance_file(tmp_path, SQUARE)
+    sol = tmp_path / "sol.txt"
+    sol.write_text(text)
+    code, _, err = run(
+        capsys, "render", "--input", inst, "--solution", str(sol),
+        "--svg", str(tmp_path / "sol.svg"),
+    )
+    assert code == 2
+    assert f"solution line {lineno}: cannot parse" in err
+
+
+def test_huge_coordinate_exits_2(tmp_path, capsys):
+    inst = write_instance_file(tmp_path, "2\n0 0\n" + "7" * 5000 + " 1\n")
+    code, _, err = run(capsys, "solve-tsp", "--input", inst)
+    assert code == 2
+    assert "line 3: coordinate out of range" in err
+
+
 def test_exit_code_missing_file(capsys):
     code, _, _ = run(capsys, "solve-tsp", "--input", "/nonexistent/file.txt")
     assert code == 2

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from rectisolve.errors import (
+    CoordinateRangeError,
     CountMismatchError,
     EmptyInstanceError,
     GuardExceeded,
     MalformedLineError,
 )
 from rectisolve.geometry import (
+    COORD_LIMIT,
     EdgeEvent,
     Point,
     build_grid,
@@ -54,6 +56,23 @@ class TestParseInstance:
             parse_instance("1\n0  0\n")
         with pytest.raises(MalformedLineError):
             parse_instance("1\n0\t0\n")
+
+    def test_coordinate_range(self):
+        inst = parse_instance(f"2\n{COORD_LIMIT} -{COORD_LIMIT}\n-000 +0012\n")
+        assert inst.points == (Point(COORD_LIMIT, -COORD_LIMIT), Point(0, 12))
+        # leading zeros do not count towards the length
+        inst = parse_instance("1\n" + "0" * 5000 + "1 -" + "0" * 5000 + "2\n")
+        assert inst.points == (Point(1, -2),)
+        for bad in (
+            f"{COORD_LIMIT + 1} 0",
+            f"0 -{COORD_LIMIT + 1}",
+            "9" * 20 + " 0",
+            "1 " + "9" * 5000,  # past int()'s 4300-digit limit
+            "-" + "1" * 5000 + " 1",
+        ):
+            with pytest.raises(CoordinateRangeError) as err:
+                parse_instance(f"# two points\n2\n0 0\n{bad}\n")
+            assert err.value.line == 4
 
     def test_roundtrip(self):
         inst = make_instance([(3, -1), (0, 9), (12, 12)])

@@ -4,10 +4,14 @@ from rectisolve.generate import gen_instance
 from rectisolve.geometry import EdgeEvent, build_grid, make_instance
 from rectisolve.oracle import steiner_oracle
 from rectisolve.solution import UnionFind
-from rectisolve.states import SteinerFrontierState, canonicalize_steiner
 from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
 
+from reference_states import (
+    SteinerFrontierState,
+    canonicalize_steiner,
+    enumerate_tuple_states,
+)
 from reference_sweep import solve_steiner_reference, steiner_transition
 
 GRID3 = build_grid(make_instance([(0, 0), (1, 1), (2, 2)]))
@@ -39,9 +43,7 @@ class TestTransitions:
 
     def test_emitted_states_are_canonical(self):
         rng = random.Random(3)
-        from rectisolve.states import enumerate_states
-
-        pool = sorted(enumerate_states(3, "steiner"), key=str)
+        pool = sorted(enumerate_tuple_states(3, "steiner"), key=str)
         for _ in range(150):
             s = pool[rng.randrange(len(pool))]
             event = (

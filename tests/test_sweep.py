@@ -4,18 +4,24 @@ import pytest
 from rectisolve import steiner, tsp
 from rectisolve.errors import InternalInfeasibleError
 from rectisolve.generate import gen_instance
-from rectisolve.geometry import EdgeEvent, build_grid, make_instance
-from rectisolve.states import count_states, encode_state, initial_tsp_state
+from rectisolve.geometry import (
+    COORD_LIMIT,
+    EdgeEvent,
+    build_grid,
+    edge_schedule,
+    make_instance,
+)
+from rectisolve.states import count_states
 from rectisolve.steiner import solve_steiner
-from rectisolve.tables import TableSet, get_space
+from rectisolve.tables import TableSet, get_space, get_tableset, run_vector_sweep
 from rectisolve.tsp import solve_tsp
 
+from reference_states import encode_state, initial_tsp_state, states_from_matrices
 from reference_sweep import (
     reconstruct,
     reference_table,
     replay,
     run_sweep,
-    space_states,
     steiner_kernel,
     tsp_kernel,
     tsp_transition,
@@ -106,7 +112,8 @@ TABLE_CASES = [("tsp", h) for h in range(1, 7)] + [("steiner", h) for h in range
 @pytest.mark.parametrize("problem, h", TABLE_CASES)
 def test_tables_match_reference_builder(problem, h):
     space = get_space(problem, h)
-    keys = [encode_state(s) for s in space_states(space)]
+    states = states_from_matrices(space.comp_mat, space.parity_mat)
+    keys = [encode_state(s) for s in states]
     assert keys == sorted(set(keys))  # index order is encode_state order
     kernel, reference_kernel = {
         "tsp": (tsp._kernel, tsp_kernel),
@@ -166,3 +173,38 @@ def test_mirror_invariance(h):
         mirrored = make_instance([(-p.x, p.y) for p in inst.points])
         assert solve_tsp(mirrored).length == solve_tsp(inst).length
         assert solve_steiner(mirrored).length == solve_steiner(inst).length
+
+
+SOLVERS = {"tsp": (tsp, solve_tsp), "steiner": (steiner, solve_steiner)}
+SWITCH_BASE = gen_instance(8, 4, 40, 16, 3)  # total segment length 204
+
+
+@pytest.mark.parametrize(
+    "problem, mult_max, k_last_int32",
+    [("tsp", 2, 1315860), ("steiner", 1, 2631720)],
+)
+def test_cost_dtype_switch(problem, mult_max, k_last_int32):
+    # run_vector_sweep keeps costs in int32 while mult_max times the total
+    # segment length stays below 2**29, and in int64 past it; the optimum
+    # scales with the instance on both sides of the switch
+    module, solve = SOLVERS[problem]
+    base = solve(SWITCH_BASE).length
+    for k in (k_last_int32, k_last_int32 + 1):
+        inst = make_instance([(k * p.x, k * p.y) for p in SWITCH_BASE.points])
+        grid = build_grid(inst)
+        bound = mult_max * sum(ev.length for ev in edge_schedule(grid))
+        assert (bound < 2**29) == (k == k_last_int32)
+        tableset = get_tableset(problem, grid.h, module._kernel)
+        mask = module._accept_mask(tableset.space, grid.terminal_rows_last_col())
+        res = run_vector_sweep(grid, tableset, mask, mult_max)
+        want = np.int32 if k == k_last_int32 else np.int64
+        assert all(layer.dtype == want for layer in res.layers)
+        assert res.cost == k * base
+        assert solve(inst).length == k * base
+    # the int64 instance moved out to the coordinate limit in x and in -y
+    dx = COORD_LIMIT - max(p.x for p in inst.points)
+    dy = -COORD_LIMIT - min(p.y for p in inst.points)
+    moved = make_instance([(p.x + dx, p.y + dy) for p in inst.points])
+    assert max(p.x for p in moved.points) == COORD_LIMIT
+    assert min(p.y for p in moved.points) == -COORD_LIMIT
+    assert solve(moved).length == k * base

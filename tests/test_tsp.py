@@ -4,17 +4,7 @@ from rectisolve.generate import gen_instance
 from rectisolve.geometry import EdgeEvent, Point, build_grid, l1, make_instance
 from rectisolve.oracle import tsp_bruteforce
 from rectisolve.solution import SolutionEdge
-from rectisolve.states import (
-    EVEN,
-    ODD,
-    ZERO,
-    TspFrontierState,
-    canonicalize_tsp,
-    count_states,
-    decode_state,
-    enumerate_states,
-    initial_tsp_state,
-)
+from rectisolve.states import EVEN, ODD, ZERO, count_states
 from rectisolve.tsp import (
     TourSubgraph,
     orient_tour,
@@ -22,6 +12,13 @@ from rectisolve.tsp import (
     validate_tour_subgraph,
 )
 
+from reference_states import (
+    TspFrontierState,
+    canonicalize_tsp,
+    enumerate_tuple_states,
+    initial_tsp_state,
+    package_states,
+)
 from reference_sweep import run_sweep, solve_tsp_reference, tsp_transition
 
 GRID3 = build_grid(make_instance([(0, 0), (1, 1), (2, 2)]))
@@ -69,7 +66,7 @@ class TestTransitions:
 
     def test_emitted_states_are_canonical(self):
         rng = random.Random(2)
-        pool = sorted(enumerate_states(3, "tsp"), key=str)
+        pool = sorted(enumerate_tuple_states(3, "tsp"), key=str)
         for _ in range(200):
             s = pool[rng.randrange(len(pool))]
             event = (
@@ -144,11 +141,11 @@ class TestSolve:
         res = run_sweep(
             grid, initial_tsp_state(grid.h), tsp_transition, lambda s: True
         )
-        all_states = enumerate_states(grid.h, "tsp")
+        all_states = set(package_states(grid.h, "tsp"))
         for layer in res.trace.layers:
             assert len(layer) <= count_states(grid.h, "tsp")
-            for key in layer:
-                assert decode_state(key, grid.h, "tsp") in all_states
+            for entry in layer.values():
+                assert entry.state in all_states
 
 
 class TestTourExtraction:
