@@ -95,9 +95,9 @@ def _all_pairs(n_vertices: int, edges) -> np.ndarray:
 def steiner_oracle(instance: Instance) -> int:
     """Exact Steiner tree value on the grid graph via Dreyfus-Wagner."""
     k = len(instance.points)
-    if not 2 <= k <= MAX_ORACLE_TERMINALS:
+    if not 1 <= k <= MAX_ORACLE_TERMINALS:
         raise GuardExceeded(
-            f"tree oracle supports 2..{MAX_ORACLE_TERMINALS} terminals"
+            f"tree oracle supports 1..{MAX_ORACLE_TERMINALS} terminals"
         )
     n, edges, terminals = _grid_graph(instance)
     dist = _all_pairs(n, edges)

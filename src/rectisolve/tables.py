@@ -9,11 +9,15 @@ from index 0 alone.
 
 Each distinct event shape ("kind": segment orientation, row, and for a
 horizontal segment whether it departs a terminal) gets a precomputed
-transition table of (source index, destination index, multiplicity)
-triples. Processing one event is then a gather + grouped minimum over
-numpy arrays. Equal costs are broken toward the smallest
-(source index, multiplicity) pair; sources are sorted by packed key, so
-this is the smallest (predecessor key, multiplicity) pair.
+transition table: three equal-length arrays of source index, destination
+index and multiplicity, one row per transition, sorted by
+(destination, source, multiplicity). Processing one event gathers the
+source costs, adds each row's multiplicity times the segment length, and
+reduces the rows into the next layer with one ``np.minimum.at`` over the
+destination indices. Reconstruction breaks equal costs toward the first
+row of a destination's run, the smallest (source index, multiplicity)
+pair; sources are sorted by packed key, so this is the smallest
+(predecessor key, multiplicity) pair.
 
 A table is built with numpy over the whole space at once. The solver's
 kernel maps every state to its candidate successors, as arrays of source
@@ -44,7 +48,8 @@ from .states import MAX_LABEL, enumerate_states, pack_states, render_row, unpack
 
 Kind = tuple
 # (space, kind) -> (src, comp, parity, mult): one candidate per entry, with
-# its (M, h) labels and parities (None for the tree variant).
+# its (M, h) labels and parities (None for the tree variant) and its int8
+# multiplicity.
 Candidates = tuple[np.ndarray, np.ndarray, "np.ndarray | None", np.ndarray]
 Kernel = Callable[["StateSpace", Kind], Candidates]
 
@@ -66,7 +71,7 @@ def stack_candidates(blocks) -> Candidates:
     if blocks[0][2] is not None:
         parity = np.concatenate([b[2] for b in blocks])
     mult = np.concatenate(
-        [np.broadcast_to(np.asarray(b[3], dtype=np.int64), len(b[0])) for b in blocks]
+        [np.broadcast_to(np.asarray(b[3], dtype=np.int8), len(b[0])) for b in blocks]
     )
     return src, comp, parity, mult
 
@@ -97,10 +102,11 @@ def get_space(problem: str, h: int) -> StateSpace:
 
 @dataclass
 class KindTable:
-    src: np.ndarray  # int32, sorted by (dst, src, mult)
-    mult: np.ndarray  # int64
-    group_starts: np.ndarray  # int64 offsets into src/mult per destination
-    group_dst: np.ndarray  # int32 destinations, ascending
+    """One row per transition, rows sorted by (dst, src, mult)."""
+
+    src: np.ndarray  # int32 source state index
+    dst: np.ndarray  # int32 destination state index
+    mult: np.ndarray  # int8 edges the segment gets (0, 1 or 2)
 
 
 class TableSet:
@@ -129,7 +135,8 @@ class TableSet:
             first = np.flatnonzero(bad.any(axis=1))[0]
             self._raise_non_canonical(kind, comp, parity, first)
         keys = pack_states(comp, parity)
-        dst = src.astype(np.int32)
+        src = src.astype(np.int32)
+        dst = src.copy()
         moved = np.flatnonzero(keys != space.keys[src])
         found = np.searchsorted(space.keys, keys[moved])
         np.minimum(found, len(space.keys) - 1, out=found)
@@ -137,14 +144,8 @@ class TableSet:
         if missing.any():
             self._raise_non_canonical(kind, comp, parity, moved[missing][0])
         dst[moved] = found
-        src = src.astype(np.int32)
-        mult = mult.astype(np.int64)
         order = np.lexsort((mult, src, dst))
-        src, dst, mult = src[order], dst[order], mult[order]
-        boundaries = np.flatnonzero(np.diff(dst)) + 1
-        group_starts = np.concatenate(([0], boundaries))
-        group_dst = dst[group_starts]
-        return KindTable(src, mult, group_starts.astype(np.int64), group_dst)
+        return KindTable(src[order], dst[order], mult[order])
 
     def _raise_non_canonical(self, kind: Kind, comp, parity, r):
         parity_row = None if parity is None else parity[r].tolist()
@@ -206,11 +207,11 @@ def run_vector_sweep(
     expansions = 0
     for event, kind in zip(events, kinds):
         table = tableset.get(kind)
-        weight = (table.mult * event.length).astype(dtype)
-        cand = cost[table.src] + weight
+        # an int8 mult times a Python int would stay int8 and overflow; an
+        # unreached source gives at most inf + bound, inside the dtype
+        cand = cost[table.src] + table.mult * dtype(event.length)
         nxt = np.full(n, inf, dtype=dtype)
-        nxt[table.group_dst] = np.minimum.reduceat(cand, table.group_starts)
-        np.minimum(nxt, inf, out=nxt)
+        np.minimum.at(nxt, table.dst, cand)
         expansions += int((cand < inf).sum())
         cost = nxt
         if trace:
@@ -253,15 +254,11 @@ def reconstruct_vector(
     for l in range(len(result.events), 0, -1):
         event = result.events[l - 1]
         table = tableset.get(result.kinds[l - 1])
-        g = int(np.searchsorted(table.group_dst, idx))
-        if g >= len(table.group_dst) or table.group_dst[g] != idx:
+        # int32 keys, as int64 ones would make searchsorted cast all of dst
+        keys = np.array((idx, idx + 1), dtype=np.int32)
+        a, b = np.searchsorted(table.dst, keys).tolist()
+        if a == b:
             raise InternalInfeasibleError(f"no transitions into state at layer {l}")
-        a = int(table.group_starts[g])
-        b = (
-            int(table.group_starts[g + 1])
-            if g + 1 < len(table.group_starts)
-            else len(table.src)
-        )
         here = int(result.layers[l][idx])
         prev_layer = result.layers[l - 1]
         for t in range(a, b):

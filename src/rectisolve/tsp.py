@@ -76,7 +76,7 @@ _PARITY_AFTER = np.array(
 )
 # _KEEP_MULT[p]: the edge count that leaves a degree of parity p final and
 # even: 0 if zero, 1 if odd, 2 if even
-_KEEP_MULT = np.array([0, 1, 2], dtype=np.int64)
+_KEEP_MULT = np.array([0, 1, 2], dtype=np.int8)
 
 
 def _kernel(space: tables_mod.StateSpace, kind: tables_mod.Kind):

@@ -337,13 +337,9 @@ def reference_table(space: StateSpace, kernel, kind: Kind) -> KindTable:
             mults.append(m)
     src = np.array(srcs, dtype=np.int32)
     dst = np.array(dsts, dtype=np.int32)
-    mult = np.array(mults, dtype=np.int64)
+    mult = np.array(mults, dtype=np.int8)
     order = np.lexsort((mult, src, dst))
-    src, dst, mult = src[order], dst[order], mult[order]
-    boundaries = np.flatnonzero(np.diff(dst)) + 1
-    group_starts = np.concatenate(([0], boundaries))
-    group_dst = dst[group_starts]
-    return KindTable(src, mult, group_starts.astype(np.int64), group_dst)
+    return KindTable(src[order], dst[order], mult[order])
 
 
 # --- per-state transitions and acceptance ---------------------------------

@@ -60,6 +60,13 @@ def test_oracles(tmp_path, capsys):
     assert code == 0 and out.strip() == "20"  # 10 + 2*5 for the 10x5 box
 
 
+def test_oracles_on_one_point(tmp_path, capsys):
+    inst = write_instance_file(tmp_path, "1\n3 7\n")
+    for command in ("oracle-tsp", "oracle-steiner"):
+        code, out, _ = run(capsys, command, "--input", inst)
+        assert code == 0 and out.strip() == "0", command
+
+
 def test_states_and_count(capsys):
     code, out, _ = run(capsys, "states", "--problem", "tsp", "--h", "3")
     assert code == 0

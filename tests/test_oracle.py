@@ -85,8 +85,7 @@ class TestSteinerOracle:
             assert 2 * value >= mst
 
     def test_guards(self):
-        with pytest.raises(GuardExceeded):
-            steiner_oracle(make_instance([(1, 1)]))
+        assert steiner_oracle(make_instance([(1, 1)])) == 0
         with pytest.raises(GuardExceeded):
             steiner_oracle(make_instance([(i, i % 4) for i in range(11)]))
 

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectisolve.errors import InputError
-from rectisolve.geometry import COORD_LIMIT, make_instance, parse_instance
+from rectisolve.geometry import COORD_LIMIT, l1, make_instance, parse_instance
 from rectisolve.oracle import steiner_oracle, tsp_bruteforce
 from rectisolve.solution import parse_solution
 from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
+
+from reference_oracles import l1_mst
 
 # deterministic runs, and nothing written next to the tests
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -91,18 +93,26 @@ def small_instances(draw):
     return make_instance(points)
 
 
+OFFSETS = st.integers(-(10**6), 10**6)
+
+
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(small_instances())
-def test_solvers_on_generated_instances(inst):
-    tour = solve_tsp(inst).length
+@given(small_instances(), OFFSETS, OFFSETS)
+def test_solvers_on_generated_instances(inst, dx, dy):
+    solution = solve_tsp(inst)
+    tour = solution.length
     tree = solve_steiner(inst).length
     assert tour == tsp_bruteforce(inst)
-    # the tree oracle refuses a single terminal, whose tree is empty
-    assert tree == (steiner_oracle(inst) if len(inst.points) > 1 else 0)
+    assert tree == steiner_oracle(inst)
     assert tree <= tour
+    assert tree <= l1_mst(inst)
+    walk = solution.tour
+    assert walk[0] == walk[-1] and set(inst.points) <= set(walk)
+    assert sum(l1(a, b) for a, b in zip(walk, walk[1:])) == tour
     for points in (
         [(-x, y) for x, y in inst.points],  # mirror: the sweep runs the other way
         [(y, x) for x, y in inst.points],  # transpose
+        [(x + dx, y + dy) for x, y in inst.points],  # translate
     ):
         moved = make_instance(points)
         assert solve_tsp(moved).length == tour

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,14 @@ from rectisolve.geometry import (
 )
 from rectisolve.states import count_states
 from rectisolve.steiner import solve_steiner
-from rectisolve.tables import TableSet, get_space, get_tableset, run_vector_sweep
+from rectisolve.tables import (
+    TableSet,
+    VectorResult,
+    get_space,
+    get_tableset,
+    reconstruct_vector,
+    run_vector_sweep,
+)
 from rectisolve.tsp import solve_tsp
 
 from reference_states import encode_state, initial_tsp_state, states_from_matrices
@@ -123,12 +132,7 @@ def test_tables_match_reference_builder(problem, h):
     for kind in kinds(h):
         got = tableset.get(kind)
         want = reference_table(space, reference_kernel, kind)
-        for field, dtype in (
-            ("src", np.int32),
-            ("mult", np.int64),
-            ("group_starts", np.int64),
-            ("group_dst", np.int32),
-        ):
+        for field, dtype in (("src", np.int32), ("dst", np.int32), ("mult", np.int8)):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype == dtype, (kind, field)
             assert np.array_equal(a, b), (kind, field)
@@ -160,6 +164,65 @@ def test_unchanged_candidates_do_not_hide_a_changed_one():
     shown = r"non-canonical state \{\(E,E,E\),\(2,4,6\)\}"
     with pytest.raises(InternalInfeasibleError, match=shown):
         TableSet(space, one_doubled).get(("V", 1))
+
+
+def fake_tableset(rows_by_kind):
+    """A TableSet over the five tree states at h=2, (0,0) (1,0) (0,1) (1,1)
+    (1,2) in index order, whose kernel emits the given (src, dst, mult)
+    rows for a kind."""
+    space = get_space("steiner", 2)
+
+    def kernel(space, kind):
+        src, dst, mult = np.array(rows_by_kind[kind]).T
+        return src, space.comp_mat[dst], None, mult.astype(np.int8)
+
+    return TableSet(space, kernel)
+
+
+def test_reconstruction_breaks_ties_by_source_then_multiplicity():
+    inf = 2**30
+    tableset = fake_tableset({
+        "spread": [(0, 1, 2), (0, 2, 1)],
+        # both reach state 3 at cost 10: source 1 by m=0, source 2 by m=1
+        "join": [(2, 3, 1), (1, 3, 0)],
+        # at zero length every multiplicity out of source 1 costs the same
+        "double": [(1, 3, 2), (2, 3, 0), (1, 3, 1)],
+    })
+    assert np.array_equal(tableset.get("join").src, [1, 2])
+    spread, join = EdgeEvent("V", 1, 1, 5), EdgeEvent("V", 1, 2, 5)
+    layers = [
+        np.array([0, inf, inf, inf, inf]),
+        np.array([inf, 10, 5, inf, inf]),
+        np.array([inf, inf, inf, 10, inf]),
+    ]
+    result = VectorResult(10, 3, layers, [spread, join], ["spread", "join"], None)
+    # source 1 wins: its path doubles the spread and skips the join
+    assert reconstruct_vector(result, tableset) == [(spread, 2)]
+
+    double = EdgeEvent("V", 1, 1, 0)
+    layers = [np.array([inf, 4, 4, inf, inf]), np.array([inf, inf, inf, 4, inf])]
+    result = VectorResult(4, 3, layers, [double], ["double"], None)
+    assert reconstruct_vector(result, tableset) == [(double, 1)]
+
+
+@pytest.mark.parametrize(
+    "x, dtype, inf",
+    [(3, np.int32, 2**30), (2**28, np.int64, 2**62)],
+    ids=["int32", "int64"],
+)
+def test_unreached_sources_leave_exactly_inf(x, dtype, inf):
+    # state 4 is reached only from itself, which is never reached: its cost
+    # is min(inf, inf + 2 * length) at every event, with no clamp after it
+    rows = [(0, 0, 0), (0, 1, 1), (1, 1, 0), (4, 4, 2)]
+    tableset = fake_tableset(defaultdict(lambda: rows))  # the same for every kind
+    grid = build_grid(make_instance([(0, 0), (x, 1)]))
+    accept = np.array([False, True, False, False, False])
+    res = run_vector_sweep(grid, tableset, accept, mult_max=2)
+    assert res.cost == 1  # the first vertical segment, once
+    assert len(res.layers) == 5
+    for layer in res.layers:
+        assert layer.dtype == dtype
+        assert layer[4] == inf
 
 
 @pytest.mark.parametrize("h", [3, 4, 5])
