@@ -19,7 +19,6 @@ from .geometry import (
     parse_instance,
     write_instance,
 )
-from .oracle import distance_matrix, steiner_oracle, tsp_bruteforce
 from .render import render_svg
 from .solution import (
     SolutionEdge,
@@ -27,14 +26,7 @@ from .solution import (
     parse_solution,
     resolve_edges,
 )
-from .states import (
-    catalan,
-    count_states,
-    enumerate_states,
-    render_row,
-    super_catalan,
-    unpack_states,
-)
+from .states import count_states, enumerate_states, render_row, unpack_states
 from .steiner import SteinerSolution, SteinerTree, solve_steiner
 from .tables import SweepStats
 from .tsp import (
@@ -60,9 +52,7 @@ __all__ = [
     "TourSubgraph",
     "TspSolution",
     "build_grid",
-    "catalan",
     "count_states",
-    "distance_matrix",
     "edge_schedule",
     "enumerate_states",
     "format_solution",
@@ -77,9 +67,6 @@ __all__ = [
     "resolve_edges",
     "solve_steiner",
     "solve_tsp",
-    "steiner_oracle",
-    "super_catalan",
-    "tsp_bruteforce",
     "unpack_states",
     "validate_tour_subgraph",
     "write_instance",

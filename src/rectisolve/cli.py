@@ -12,7 +12,6 @@ import sys
 from .errors import GuardExceeded, InputError, InternalInfeasibleError
 from .generate import gen_instance
 from .geometry import parse_instance, write_instance
-from .oracle import steiner_oracle, tsp_bruteforce
 from .render import render_svg
 from .solution import format_solution, parse_solution, resolve_edges
 from .states import count_states, enumerate_states, render_row, unpack_states
@@ -46,7 +45,19 @@ def _print_stats(stats):
     )
 
 
+def _check_solver_flags(args):
+    """--output and --svg write the reconstructed solution, which rolling
+    mode does not make; refuse them there rather than write nothing."""
+    if args.no_trace:
+        for flag, value in (("--output", args.output), ("--svg", args.svg)):
+            if value:
+                raise InputError(
+                    f"{flag} needs a solution, which --no-trace does not make"
+                )
+
+
 def _cmd_solve_tsp(args) -> int:
+    _check_solver_flags(args)
     instance = _load_instance(args)
     sol = solve_tsp(instance, trace=not args.no_trace)
     print(f"length {sol.length}")
@@ -63,6 +74,7 @@ def _cmd_solve_tsp(args) -> int:
 
 
 def _cmd_solve_steiner(args) -> int:
+    _check_solver_flags(args)
     instance = _load_instance(args)
     sol = solve_steiner(instance, trace=not args.no_trace)
     print(f"length {sol.length}")
@@ -73,16 +85,6 @@ def _cmd_solve_steiner(args) -> int:
             _write_text(args.output, text)
         if args.svg:
             _write_text(args.svg, render_svg(instance, list(sol.tree.edges)))
-    return 0
-
-
-def _cmd_oracle_tsp(args) -> int:
-    print(tsp_bruteforce(_load_instance(args)))
-    return 0
-
-
-def _cmd_oracle_steiner(args) -> int:
-    print(steiner_oracle(_load_instance(args)))
     return 0
 
 
@@ -155,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-steiner", help="exact minimum rectilinear Steiner tree")
     _add_solver_flags(p)
     p.set_defaults(fn=_cmd_solve_steiner)
-
-    p = sub.add_parser("oracle-tsp", help="brute-force tour length (small n)")
-    p.add_argument("--input", required=True)
-    p.set_defaults(fn=_cmd_oracle_tsp)
-
-    p = sub.add_parser("oracle-steiner", help="Dreyfus-Wagner tree length (small n)")
-    p.add_argument("--input", required=True)
-    p.set_defaults(fn=_cmd_oracle_steiner)
 
     p = sub.add_parser("states", help="enumerate all frontier states for h rows")
     p.add_argument("--problem", required=True, choices=["tsp", "steiner"])

@@ -23,7 +23,7 @@ from .errors import (
 
 COORD_LIMIT = 2**31  # keeps every tour length inside a 63-bit accumulator
 
-DEFAULT_MAX_GRID_VERTICES = 10**7
+MAX_GRID_VERTICES = 10**7
 
 
 class Point(NamedTuple):
@@ -188,10 +188,9 @@ class HananGrid:
         return tuple(self.terminal[i][self.v - 1] for i in range(self.h))
 
 
-def build_grid(
-    instance: Instance, max_vertices: int = DEFAULT_MAX_GRID_VERTICES
-) -> HananGrid:
-    """Construct the normalized Hanan grid of an instance."""
+def build_grid(instance: Instance) -> HananGrid:
+    """Construct the normalized Hanan grid of an instance. Raises
+    GuardExceeded when it would have more than MAX_GRID_VERTICES vertices."""
     xs = sorted({p.x for p in instance.points})
     ys = sorted({p.y for p in instance.points})
     transposed = len(ys) > len(xs)
@@ -201,9 +200,9 @@ def build_grid(
     else:
         pts = [(p.x, p.y) for p in instance.points]
     h, v = len(ys), len(xs)
-    if h * v > max_vertices:
+    if h * v > MAX_GRID_VERTICES:
         raise GuardExceeded(
-            f"grid would have {h * v} vertices (limit {max_vertices})"
+            f"grid would have {h * v} vertices (limit {MAX_GRID_VERTICES})"
         )
     col_of = {x: j for j, x in enumerate(xs)}
     row_of = {y: i for i, y in enumerate(ys)}

@@ -1,4 +1,4 @@
-"""Canonical frontier states for both solvers, plus their counting oracles.
+"""Canonical frontier states for both solvers, and their exact counts.
 
 A frontier state summarizes one column of sweep progress: per row, the
 degree parity of the frontier vertex (tour variant) and a labeling of rows
@@ -18,13 +18,11 @@ all-empty state packs to key 0, so it comes first in any sorted key array.
 
 The number of tour states on h rows is the binomial transform of the
 little Schroeder numbers; the tree states are counted by the binomial
-transform of the Catalan numbers. Both closed forms are exposed here and
-cross-checked against exhaustive enumeration in the tests.
+transform of the Catalan numbers. ``count_states`` computes both, and the
+tests cross-check it against exhaustive enumeration.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 import numpy as np
 
@@ -159,24 +157,6 @@ def render_row(comp_row, parity_row=None) -> str:
 # --- counting ------------------------------------------------------------
 
 
-def super_catalan(k: int) -> int:
-    """Little Schroeder numbers 1, 1, 3, 11, 45, 197, ... by recurrence."""
-    if k < 0:
-        raise InputError("k must be >= 0")
-    a, b = 1, 1  # S_0, S_1
-    if k == 0:
-        return a
-    for n in range(2, k + 1):
-        a, b = b, (3 * (2 * n - 1) * b - (n - 2) * a) // (n + 1)
-    return b
-
-
-def catalan(k: int) -> int:
-    if k < 0:
-        raise InputError("k must be >= 0")
-    return comb(2 * k, k) // (k + 1)
-
-
 def count_states(h: int, problem: str) -> int:
     """Closed-form size of the state space on h rows (exact big integer).
 
@@ -217,14 +197,14 @@ def enumerate_states(h: int, problem: str) -> np.ndarray:
     may only close with an even number of U rows. The key is built up field
     by field on the way down.
 
-    Raises GuardExceeded, before allocating anything, when h < 1 or the
-    space holds more than MAX_STATES states.
+    Raises InputError when h < 1, and GuardExceeded, before allocating
+    anything, when the space holds more than MAX_STATES states.
     """
     tsp = problem == "tsp"
     if not tsp and problem != "steiner":
         raise InputError(f"unknown problem {problem!r}")
     if h < 1:
-        raise GuardExceeded("enumeration needs h >= 1")
+        raise InputError("h must be >= 1")
     # Any set of rows may be unlabeled, so there are at least 2**h states.
     # A large h is refused without its exact count, which past 4300 digits
     # cannot be formatted into the message.

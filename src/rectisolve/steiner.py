@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInfeasibleError
-from .geometry import (
-    DEFAULT_MAX_GRID_VERTICES,
-    HananGrid,
-    Instance,
-    build_grid,
-)
+from .geometry import HananGrid, Instance, build_grid
 from .solution import (
     SolutionEdge,
     UnionFind,
@@ -99,15 +94,13 @@ def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:
     return ok
 
 
+STEINER = tables_mod.Variant("steiner", _kernel, _accept_mask, 1)
+
+
 # --- solving --------------------------------------------------------------
 
 
-def solve_steiner(
-    instance: Instance,
-    *,
-    trace: bool = True,
-    max_grid_vertices: int = DEFAULT_MAX_GRID_VERTICES,
-) -> SteinerSolution:
+def solve_steiner(instance: Instance, *, trace: bool = True) -> SteinerSolution:
     """Exact minimum rectilinear Steiner tree.
 
     Same interface contract as solve_tsp: trace mode returns the validated
@@ -115,12 +108,9 @@ def solve_steiner(
     """
     if len(instance.points) == 1:
         return SteinerSolution(0, SteinerTree((), 0), SweepStats(1, 1, 0, 0.0), None)
-    grid = build_grid(instance, max_grid_vertices)
-    tableset = tables_mod.get_tableset("steiner", grid.h, _kernel)
-    mask = _accept_mask(tableset.space, grid.terminal_rows_last_col())
-    res = tables_mod.run_vector_sweep(grid, tableset, mask, mult_max=1, trace=trace)
+    grid = build_grid(instance)
+    res, moves = tables_mod.solve_grid(STEINER, grid, trace)
     length, stats = res.cost, res.stats
-    moves = tables_mod.reconstruct_vector(res, tableset) if trace else None
 
     tree = None
     if trace:

@@ -27,11 +27,15 @@ back to that source, and the rest are looked up by binary search in the
 sorted key array. A candidate that is not there is not a canonical state,
 which is a kernel bug and raises InternalInfeasibleError.
 
-Tables depend only on (problem, h), never on segment lengths or column
+Tables depend only on (variant, h), never on segment lengths or column
 positions, so they are cached and shared across instances and runs.
 Costs use int32 when the instance's total-length upper bound allows it.
 Trace mode keeps every layer for path reconstruction; rolling mode keeps
 two layers and reports the cost only.
+
+Both solvers run the same sweep: a ``Variant`` names the state format,
+the kernel, the final-layer acceptance and the largest multiplicity, and
+``solve_grid`` runs one on a grid.
 """
 
 from __future__ import annotations
@@ -52,6 +56,19 @@ Kind = tuple
 # multiplicity.
 Candidates = tuple[np.ndarray, np.ndarray, "np.ndarray | None", np.ndarray]
 Kernel = Callable[["StateSpace", Kind], Candidates]
+# (space, terminal flags of the last column's rows) -> the final-layer
+# states a solution may end in, as an N-long bool mask
+Accept = Callable[["StateSpace", tuple[bool, ...]], np.ndarray]
+
+
+@dataclass(frozen=True)
+class Variant:
+    """What one problem puts into the shared sweep."""
+
+    name: str  # "tsp" or "steiner": the state format and the cache key
+    kernel: Kernel
+    accept: Accept
+    mult_max: int  # the most edges one segment may get
 
 
 @dataclass
@@ -78,8 +95,6 @@ def stack_candidates(blocks) -> Candidates:
 
 @dataclass
 class StateSpace:
-    problem: str
-    h: int
     keys: np.ndarray  # int64 packed keys, ascending; position = state index
     parity_mat: np.ndarray | None  # (N, h) int8, tour variant only
     comp_mat: np.ndarray  # (N, h) int8
@@ -95,7 +110,7 @@ def get_space(problem: str, h: int) -> StateSpace:
         return cached
     keys = enumerate_states(h, problem)
     comp_mat, parity_mat = unpack_states(keys, h, problem)
-    space = StateSpace(problem, h, keys, parity_mat, comp_mat)
+    space = StateSpace(keys, parity_mat, comp_mat)
     _SPACES[(problem, h)] = space
     return space
 
@@ -110,7 +125,7 @@ class KindTable:
 
 
 class TableSet:
-    """Lazily built per-kind transition tables for one (problem, h)."""
+    """Lazily built per-kind transition tables for one (variant, h)."""
 
     def __init__(self, space: StateSpace, kernel: Kernel):
         self.space = space
@@ -155,11 +170,11 @@ class TableSet:
         )
 
 
-def get_tableset(problem: str, h: int, kernel: Kernel) -> TableSet:
-    cached = _TABLES.get((problem, h))
+def get_tableset(variant: Variant, h: int) -> TableSet:
+    cached = _TABLES.get((variant.name, h))
     if cached is None:
-        cached = TableSet(get_space(problem, h), kernel)
-        _TABLES[(problem, h)] = cached
+        cached = TableSet(get_space(variant.name, h), variant.kernel)
+        _TABLES[(variant.name, h)] = cached
     return cached
 
 
@@ -273,3 +288,15 @@ def reconstruct_vector(
             raise InternalInfeasibleError(f"broken cost chain at layer {l}")
     moves.reverse()
     return moves
+
+
+def solve_grid(
+    variant: Variant, grid: HananGrid, trace: bool
+) -> tuple[VectorResult, list[tuple[EdgeEvent, int]] | None]:
+    """The optimum of one variant on a grid, and in trace mode the
+    segments and multiplicities of an optimal solution."""
+    tableset = get_tableset(variant, grid.h)
+    mask = variant.accept(tableset.space, grid.terminal_rows_last_col())
+    res = run_vector_sweep(grid, tableset, mask, variant.mult_max, trace=trace)
+    moves = reconstruct_vector(res, tableset) if trace else None
+    return res, moves

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInfeasibleError, NotEulerianError
-from .geometry import (
-    DEFAULT_MAX_GRID_VERTICES,
-    HananGrid,
-    Instance,
-    Point,
-    build_grid,
-    l1,
-)
+from .geometry import HananGrid, Instance, Point, build_grid, l1
 from .solution import (
     SolutionEdge,
     check_connected_covering,
@@ -133,15 +126,13 @@ def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:
     return ok
 
 
+TSP = tables_mod.Variant("tsp", _kernel, _accept_mask, 2)
+
+
 # --- solving --------------------------------------------------------------
 
 
-def solve_tsp(
-    instance: Instance,
-    *,
-    trace: bool = True,
-    max_grid_vertices: int = DEFAULT_MAX_GRID_VERTICES,
-) -> TspSolution:
+def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
     """Exact minimum rectilinear tour.
 
     With trace on, the result carries the optimal tour subgraph (validated
@@ -154,12 +145,9 @@ def solve_tsp(
             0, TourSubgraph((), 0), (instance.points[0],),
             SweepStats(1, 1, 0, 0.0), None,
         )
-    grid = build_grid(instance, max_grid_vertices)
-    tableset = tables_mod.get_tableset("tsp", grid.h, _kernel)
-    mask = _accept_mask(tableset.space, grid.terminal_rows_last_col())
-    res = tables_mod.run_vector_sweep(grid, tableset, mask, mult_max=2, trace=trace)
+    grid = build_grid(instance)
+    res, moves = tables_mod.solve_grid(TSP, grid, trace)
     length, stats = res.cost, res.stats
-    moves = tables_mod.reconstruct_vector(res, tableset) if trace else None
 
     subgraph = tour = None
     if trace:

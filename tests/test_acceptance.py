@@ -10,17 +10,12 @@ import time
 
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import build_grid, l1, make_instance
-from rectisolve.oracle import steiner_oracle, tsp_bruteforce
 from rectisolve.solution import UnionFind
-from rectisolve.states import (
-    count_states,
-    enumerate_states,
-    super_catalan,
-    unpack_states,
-)
+from rectisolve.states import count_states, enumerate_states, unpack_states
 from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
 
+from reference_oracles import steiner_oracle, super_catalan, tsp_bruteforce
 from reference_states import (
     canonicalize_steiner,
     canonicalize_tsp,

@@ -3,7 +3,10 @@ import time
 import pytest
 
 from rectisolve.cli import main
+from rectisolve.geometry import parse_instance
 from rectisolve.states import count_states
+
+from reference_oracles import tsp_bruteforce
 
 
 def run(capsys, *argv):
@@ -52,19 +55,19 @@ def test_solve_steiner(tmp_path, capsys):
     assert out.splitlines()[0] == "length 11"
 
 
-def test_oracles(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve-tsp", "solve-steiner"])
+@pytest.mark.parametrize("flag", ["--output", "--svg"])
+def test_no_trace_refuses_solution_files(tmp_path, capsys, command, flag):
+    # rolling mode makes no solution, so a file asked for is refused up
+    # front rather than silently left unwritten
     inst = write_instance_file(tmp_path, SQUARE)
-    code, out, _ = run(capsys, "oracle-tsp", "--input", inst)
-    assert code == 0 and out.strip() == "30"
-    code, out, _ = run(capsys, "oracle-steiner", "--input", inst)
-    assert code == 0 and out.strip() == "20"  # 10 + 2*5 for the 10x5 box
-
-
-def test_oracles_on_one_point(tmp_path, capsys):
-    inst = write_instance_file(tmp_path, "1\n3 7\n")
-    for command in ("oracle-tsp", "oracle-steiner"):
-        code, out, _ = run(capsys, command, "--input", inst)
-        assert code == 0 and out.strip() == "0", command
+    target = tmp_path / "out"
+    code, out, err = run(
+        capsys, command, "--input", inst, "--no-trace", flag, str(target)
+    )
+    assert code == 2
+    assert flag in err and "--no-trace" in err
+    assert out == "" and not target.exists()
 
 
 def test_states_and_count(capsys):
@@ -104,9 +107,9 @@ def test_gen_solve_pipeline(tmp_path, capsys):
     )
     assert code == 0
     code, out_solve, _ = run(capsys, "solve-tsp", "--input", str(inst_file))
-    code2, out_oracle, _ = run(capsys, "oracle-tsp", "--input", str(inst_file))
-    assert code == code2 == 0
-    assert out_solve.splitlines()[0] == f"length {out_oracle.strip()}"
+    assert code == 0
+    want = tsp_bruteforce(parse_instance(inst_file.read_text()))
+    assert out_solve.splitlines()[0] == f"length {want}"
 
 
 def test_render(tmp_path, capsys):
@@ -173,21 +176,29 @@ def test_exit_code_missing_file(capsys):
     assert code == 2
 
 
+def diagonal(n):
+    """n points with n distinct x and n distinct y, so h = n."""
+    return f"{n}\n" + "".join(f"{i} {i}\n" for i in range(n))
+
+
 def test_exit_code_guard(tmp_path, capsys):
-    inst = write_instance_file(
-        tmp_path, "12\n" + "".join(f"{i} {i % 3}\n" for i in range(12))
-    )
-    code, _, err = run(capsys, "oracle-tsp", "--input", inst)
-    assert code == 3
-    assert "guard" in err
+    # 3163 diagonal points span a 3163 x 3163 grid, past the 10**7 limit
+    inst = write_instance_file(tmp_path, diagonal(3163))
+    for command in ("solve-tsp", "solve-steiner"):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, command, "--input", inst)
+        assert time.perf_counter() - t0 < 1.0, command
+        assert code == 3, command
+        assert "grid would have 10004569 vertices" in err, command
     code, _, _ = run(capsys, "states", "--problem", "tsp", "--h", "14")
     assert code == 3
 
 
-
-def diagonal(n):
-    """n points with n distinct x and n distinct y, so h = n."""
-    return f"{n}\n" + "".join(f"{i} {i}\n" for i in range(n))
+@pytest.mark.parametrize("command", ["states", "count"])
+def test_h_below_one_is_invalid_input(capsys, command):
+    code, _, err = run(capsys, command, "--problem", "tsp", "--h", "0")
+    assert code == 2
+    assert "h must be >= 1" in err
 
 
 @pytest.mark.parametrize(

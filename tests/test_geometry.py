@@ -11,6 +11,7 @@ from rectisolve.errors import (
 )
 from rectisolve.geometry import (
     COORD_LIMIT,
+    MAX_GRID_VERTICES,
     EdgeEvent,
     Point,
     build_grid,
@@ -94,9 +95,12 @@ class TestBuildGrid:
         assert g.h == 1 and g.v == 2
 
     def test_grid_limit(self):
-        pts = [(i, 0) for i in range(40)] + [(0, j) for j in range(1, 40)]
-        with pytest.raises(GuardExceeded):
-            build_grid(make_instance(pts), max_vertices=100)
+        # an L of 3163 + 3162 points spans a 3163 x 3163 grid, just past
+        # MAX_GRID_VERTICES; it is refused before the grid is laid out
+        assert 3162**2 <= MAX_GRID_VERTICES < 3163**2
+        pts = [(i, 0) for i in range(3163)] + [(0, j) for j in range(1, 3163)]
+        with pytest.raises(GuardExceeded, match="grid would have 10004569 vertices"):
+            build_grid(make_instance(pts))
 
     def test_point_at_inverts_normalization(self):
         rng = random.Random(4)

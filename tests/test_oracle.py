@@ -7,9 +7,14 @@ import pytest
 from rectisolve.errors import GuardExceeded
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import l1, make_instance
-from rectisolve.oracle import distance_matrix, steiner_oracle, tsp_bruteforce
 
-from reference_oracles import l1_mst, steiner_exhaustive
+from reference_oracles import (
+    distance_matrix,
+    l1_mst,
+    steiner_exhaustive,
+    steiner_oracle,
+    tsp_bruteforce,
+)
 
 
 class TestDistanceMatrix:
@@ -58,6 +63,7 @@ class TestSteinerOracle:
         assert steiner_oracle(make_instance([(0, 0), (8, 3)])) == 11
         assert steiner_oracle(make_instance([(0, 0), (4, 0), (2, 3)])) == 7
         assert steiner_oracle(make_instance([(0, 0), (10, 0), (0, 4), (10, 4)])) == 18
+        assert steiner_oracle(make_instance([(0, 0), (10, 0), (0, 5), (10, 5)])) == 20
 
     def test_against_exhaustive_enumeration(self):
         rng = random.Random(17)

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from rectisolve.errors import InputError
 from rectisolve.geometry import COORD_LIMIT, l1, make_instance, parse_instance
-from rectisolve.oracle import steiner_oracle, tsp_bruteforce
 from rectisolve.solution import parse_solution
 from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
 
-from reference_oracles import l1_mst
+from reference_oracles import l1_mst, steiner_oracle, tsp_bruteforce
 
 # deterministic runs, and nothing written next to the tests
 FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -2,11 +2,11 @@ import random
 
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import EdgeEvent, build_grid, make_instance
-from rectisolve.oracle import steiner_oracle
 from rectisolve.solution import UnionFind
 from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
 
+from reference_oracles import steiner_oracle
 from reference_states import (
     SteinerFrontierState,
     canonicalize_steiner,

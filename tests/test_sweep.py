@@ -238,7 +238,7 @@ def test_mirror_invariance(h):
         assert solve_steiner(mirrored).length == solve_steiner(inst).length
 
 
-SOLVERS = {"tsp": (tsp, solve_tsp), "steiner": (steiner, solve_steiner)}
+SOLVERS = {"tsp": (tsp.TSP, solve_tsp), "steiner": (steiner.STEINER, solve_steiner)}
 SWITCH_BASE = gen_instance(8, 4, 40, 16, 3)  # total segment length 204
 
 
@@ -250,15 +250,16 @@ def test_cost_dtype_switch(problem, mult_max, k_last_int32):
     # run_vector_sweep keeps costs in int32 while mult_max times the total
     # segment length stays below 2**29, and in int64 past it; the optimum
     # scales with the instance on both sides of the switch
-    module, solve = SOLVERS[problem]
+    variant, solve = SOLVERS[problem]
+    assert variant.mult_max == mult_max
     base = solve(SWITCH_BASE).length
     for k in (k_last_int32, k_last_int32 + 1):
         inst = make_instance([(k * p.x, k * p.y) for p in SWITCH_BASE.points])
         grid = build_grid(inst)
         bound = mult_max * sum(ev.length for ev in edge_schedule(grid))
         assert (bound < 2**29) == (k == k_last_int32)
-        tableset = get_tableset(problem, grid.h, module._kernel)
-        mask = module._accept_mask(tableset.space, grid.terminal_rows_last_col())
+        tableset = get_tableset(variant, grid.h)
+        mask = variant.accept(tableset.space, grid.terminal_rows_last_col())
         res = run_vector_sweep(grid, tableset, mask, mult_max)
         want = np.int32 if k == k_last_int32 else np.int64
         assert all(layer.dtype == want for layer in res.layers)

@@ -1,0 +1,40 @@
+"""The benchmark's tracer (perfbench/spans.py) wraps the solvers' call sites
+by module attribute; every layer it names must still be reached through
+those attributes, or its per-layer metric silently reads nothing."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import rectisolve
+from rectisolve import tables
+from rectisolve.geometry import make_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import spans  # noqa: E402
+
+POINTS = [(0, 0), (3, 0), (1, 2), (4, 2), (2, 5), (5, 5)]
+
+
+@pytest.mark.parametrize("solver", ["tsp", "steiner"])
+def test_tracer_sees_every_layer(monkeypatch, solver):
+    # empty caches, so the set-up spans fire whatever ran before
+    monkeypatch.setattr(tables, "_SPACES", {})
+    monkeypatch.setattr(tables, "_TABLES", {})
+    tracer = spans.Tracer()
+    tracer.install(rectisolve)
+    try:
+        solve = getattr(rectisolve, f"solve_{solver}")  # the wrapped one
+        solve(make_instance(POINTS), trace=True)
+    finally:
+        tracer.restore()
+    want = {
+        name
+        for module, attr, name in spans.CALL_SITES
+        if module in (solver, "tables") or attr == f"solve_{solver}"
+    }
+    want |= {"tables.sweep", spans.TABLE_BUILD}
+    seen = {span[0] for span in tracer.spans}
+    assert want <= seen, sorted(want - seen)

@@ -2,7 +2,6 @@ import random
 
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import EdgeEvent, Point, build_grid, l1, make_instance
-from rectisolve.oracle import tsp_bruteforce
 from rectisolve.solution import SolutionEdge
 from rectisolve.states import EVEN, ODD, ZERO, count_states
 from rectisolve.tsp import (
@@ -12,6 +11,7 @@ from rectisolve.tsp import (
     validate_tour_subgraph,
 )
 
+from reference_oracles import tsp_bruteforce
 from reference_states import (
     TspFrontierState,
     canonicalize_tsp,
