@@ -118,9 +118,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    xmax = args.xmax if args.xmax is not None else max(4 * args.n, args.n)
-    ymax = args.ymax if args.ymax is not None else max(4 * args.h, args.h)
-    instance = gen_instance(args.n, args.h, xmax, ymax, args.seed)
+    instance = gen_instance(args.n, args.h, 4 * args.n, 4 * args.h, args.seed)
     _write_text(args.output, write_instance(instance))
     return 0
 
@@ -172,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a seeded random instance")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--h", required=True, type=int)
-    p.add_argument("--xmax", type=int)
-    p.add_argument("--ymax", type=int)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_gen)

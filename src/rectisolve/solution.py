@@ -26,24 +26,17 @@ class SolutionEdge(NamedTuple):
 def edges_from_moves(
     grid: HananGrid, moves: list[tuple[EdgeEvent, int]]
 ) -> list[SolutionEdge]:
-    """Convert normalized sweep moves to original-orientation edges."""
-    orig_xs = grid.ys if grid.transposed else grid.xs
-    orig_ys = grid.xs if grid.transposed else grid.ys
-    xi = {x: j + 1 for j, x in enumerate(orig_xs)}
-    yi = {y: i + 1 for i, y in enumerate(orig_ys)}
+    """Convert normalized sweep moves to original-orientation edges. On a
+    transposed grid a segment's original name swaps V and H, and row and
+    column."""
     edges = []
     for event, mult in moves:
-        p1 = grid.point_at(event.row, event.col)
-        if event.kind == "V":
-            p2 = grid.point_at(event.row + 1, event.col)
-        else:
-            p2 = grid.point_at(event.row, event.col + 1)
-        if p1.x == p2.x:
-            lo, hi = sorted((p1, p2), key=lambda p: p.y)
-            edges.append(SolutionEdge("V", yi[lo.y], xi[lo.x], lo, hi, mult))
-        else:
-            lo, hi = sorted((p1, p2), key=lambda p: p.x)
-            edges.append(SolutionEdge("H", yi[lo.y], xi[lo.x], lo, hi, mult))
+        kind, row, col = event.kind, event.row, event.col
+        p1 = grid.point_at(row, col)
+        p2 = grid.point_at(row + 1, col) if kind == "V" else grid.point_at(row, col + 1)
+        if grid.transposed:
+            kind, row, col = "H" if kind == "V" else "V", col, row
+        edges.append(SolutionEdge(kind, row, col, p1, p2, mult))
     edges.sort(key=lambda e: (e.kind, e.row, e.col))
     return edges
 

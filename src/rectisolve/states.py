@@ -1,11 +1,11 @@
 """Canonical frontier states for both solvers, and their exact counts.
 
-A frontier state summarizes one column of sweep progress: per row, the
-degree parity of the frontier vertex (tour variant) and a labeling of rows
-into connected components. Valid labelings are exactly the non-crossing
-partitions of the labeled rows; the tour variant additionally requires an
-even number of odd-parity rows per component (odd-degree vertices can only
-live on the frontier, and a graph has an even number of them).
+A frontier state summarizes one column of sweep progress: a labeling of
+rows into connected components, valid exactly when it is a non-crossing
+partition of the labeled rows. A tour state adds the degree parity of each
+row's frontier vertex, with an even number of odd (U) rows per component:
+odd-degree vertices can only live on the frontier, and a graph has an even
+number of them. So the tour states are derived from the tree states.
 
 Component labels are canonical: scanning rows bottom to top, first
 appearances are numbered 1, 2, 3, ... Label 0 marks a row without a
@@ -36,6 +36,8 @@ _PARITY_CHAR = {ZERO: "0", ODD: "U", EVEN: "E"}
 # refuses tsp h >= 10 and steiner h >= 12 before anything is allocated.
 # The state count grows as ~6.8^h (tsp) and ~5^h (steiner).
 MAX_STATES = 1_000_000
+# count_states's time grows as h**2 (4 s at h=40 000), so it refuses larger h.
+MAX_COUNT_H = 10_000
 
 # --- packed keys ---------------------------------------------------------
 #
@@ -50,13 +52,9 @@ _LABEL_BITS = 4
 MAX_LABEL = (1 << _LABEL_BITS) - 1
 
 
-def _field_bits(tsp: bool) -> int:
-    return _LABEL_BITS + 2 if tsp else _LABEL_BITS
-
-
 def pack_states(comp: np.ndarray, parity: np.ndarray | None) -> np.ndarray:
     """One int64 key per row of a label (and parity) matrix."""
-    width = _field_bits(parity is not None)
+    width = _LABEL_BITS if parity is None else _LABEL_BITS + 2
     keys = np.zeros(len(comp), dtype=np.int64)
     for i in range(comp.shape[1] - 1, -1, -1):
         keys <<= width
@@ -73,7 +71,7 @@ def unpack_states(
     matrix is None for the tree variant. Works one column at a time, so no
     (N, h) int64 intermediate is made."""
     tsp = problem == "tsp"
-    width = _field_bits(tsp)
+    width = _LABEL_BITS + 2 if tsp else _LABEL_BITS
     comp = np.empty((len(keys), h), dtype=np.int8)
     parity = np.empty_like(comp) if tsp else None
     for i in range(h):
@@ -163,12 +161,14 @@ def count_states(h: int, problem: str) -> int:
     One pass over the terms comb(h, k) * base(k): each term follows from
     the previous one or two through the binomial and the Schroeder or
     Catalan recurrence, by small-integer factors only, so tsp h=6000 takes
-    milliseconds.
+    milliseconds. Raises GuardExceeded when h > MAX_COUNT_H.
     """
     if h < 1:
         raise InputError("h must be >= 1")
     if problem not in ("tsp", "steiner"):
         raise InputError(f"unknown problem {problem!r}")
+    if h > MAX_COUNT_H:
+        raise GuardExceeded(f"state count at h={h} is above the limit h={MAX_COUNT_H}")
     total, prev, term = 1 + h, 1, h  # k = 0 and k = 1: base(0) = base(1) = 1
     for k in range(2, h + 1):
         r = h - k + 1  # comb(h, k) = comb(h, k - 1) * r / k
@@ -187,15 +187,32 @@ def count_states(h: int, problem: str) -> int:
 # --- exhaustive enumeration ----------------------------------------------
 
 
+def _with_parities(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every tour state on the label rows of tree states. From the top row
+    down, a row whose label recurs below takes U, and E in a twin state; a
+    component's lowest row then takes the parity that evens its U count."""
+    parity = np.zeros_like(comp)
+    for i in range(comp.shape[1] - 1, -1, -1):
+        same = comp == comp[:, i : i + 1]
+        free = (comp[:, i] > 0) & same[:, :i].any(axis=1)
+        odd = (same[:, i + 1 :] & (parity[:, i + 1 :] == ODD)).sum(axis=1) % 2 == 1
+        parity[:, i] = np.where(comp[:, i] == 0, ZERO, np.where(free | odd, ODD, EVEN))
+        take = np.concatenate([np.arange(len(comp)), np.flatnonzero(free)])
+        comp, parity = comp[take], parity[take]
+        parity[len(free) :, i] = EVEN
+    return comp, parity
+
+
 def enumerate_states(h: int, problem: str) -> np.ndarray:
     """The packed keys of all canonical states on h rows, ascending.
 
-    Rows are scanned bottom to top keeping a stack of open components; a
-    row may stay unlabeled, join an open component (closing every component
-    opened after it, which non-crossing demands), or open a fresh one. For
-    the tour variant each labeled row picks parity U or E and a component
-    may only close with an even number of U rows. The key is built up field
-    by field on the way down.
+    The tree states come from one recursion that scans rows bottom to top
+    keeping a stack of open components; a row may stay unlabeled, join an
+    open component (closing every component opened after it, which
+    non-crossing demands), or open a fresh one. The 4-bit tree key is built
+    up field by field on the way down. The tour states are the tree states'
+    label rows with every parity assignment that gives each component an
+    even number of U rows (``_with_parities``), packed by ``pack_states``.
 
     Raises InputError when h < 1, and GuardExceeded, before allocating
     anything, when the space holds more than MAX_STATES states.
@@ -220,41 +237,23 @@ def enumerate_states(h: int, problem: str) -> np.ndarray:
             f"above the limit of {MAX_STATES}"
         )
 
-    width = _field_bits(tsp)
-    stack: list[list[int]] = []  # [label, odd_row_count] per open component
     out: list[int] = []
-    # (is odd, parity bits of the field) per parity a labeled row may take
-    parities = ((True, ODD << _LABEL_BITS), (False, EVEN << _LABEL_BITS))
-    if not tsp:
-        parities = ((False, 0),)
 
-    def visit(r: int, next_label: int, key: int):
+    def visit(r: int, stack: tuple[int, ...], next_label: int, key: int):
+        # stack: labels of the open components, innermost last
         if r == h:
-            if not (tsp and any(odd % 2 for _, odd in stack)):
-                out.append(key)
+            out.append(key)
             return
-        visit(r + 1, next_label, key)
-        shift = width * r
-        for d in range(len(stack) - 1, -1, -1):
-            if tsp and d + 1 < len(stack) and stack[d + 1][1] % 2:
-                break  # a component above d cannot close; neither can deeper joins
-            popped = stack[d + 1 :]
-            del stack[d + 1 :]
-            entry = stack[d]
-            for odd, bits in parities:
-                entry[1] += odd
-                visit(r + 1, next_label, key | (bits | entry[0]) << shift)
-                entry[1] -= odd
-            stack.extend(popped)
-        entry = [next_label, 0]
-        stack.append(entry)
-        for odd, bits in parities:
-            entry[1] += odd
-            visit(r + 1, next_label + 1, key | (bits | next_label) << shift)
-            entry[1] -= odd
-        stack.pop()
+        visit(r + 1, stack, next_label, key)
+        shift = _LABEL_BITS * r
+        for d, label in enumerate(stack):
+            visit(r + 1, stack[: d + 1], next_label, key | label << shift)
+        visit(r + 1, stack + (next_label,), next_label + 1, key | next_label << shift)
 
-    visit(0, 1, 0)
+    visit(0, (), 1, 0)
     keys = np.array(out, dtype=np.int64)
+    if tsp:
+        comp, _ = unpack_states(keys, h, "steiner")
+        keys = pack_states(*_with_parities(comp))
     keys.sort()
     return keys

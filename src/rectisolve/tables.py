@@ -30,8 +30,9 @@ which is a kernel bug and raises InternalInfeasibleError.
 Tables depend only on (variant, h), never on segment lengths or column
 positions, so they are cached and shared across instances and runs.
 Costs use int32 when the instance's total-length upper bound allows it.
-Trace mode keeps every layer for path reconstruction; rolling mode keeps
-two layers and reports the cost only.
+Trace mode keeps every layer for path reconstruction, up to
+MAX_TRACE_BYTES of them; rolling mode keeps two layers and reports the
+cost only.
 
 Both solvers run the same sweep: a ``Variant`` names the state format,
 the kernel, the final-layer acceptance and the largest multiplicity, and
@@ -46,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InternalInfeasibleError
+from .errors import GuardExceeded, InternalInfeasibleError
 from .geometry import EdgeEvent, HananGrid, edge_schedule
 from .states import MAX_LABEL, enumerate_states, pack_states, render_row, unpack_states
 
@@ -99,6 +100,10 @@ class StateSpace:
     parity_mat: np.ndarray | None  # (N, h) int8, tour variant only
     comp_mat: np.ndarray  # (N, h) int8
 
+
+# Trace mode keeps one cost array per layer; a sweep whose layers would
+# take more bytes than this is refused before any of them is allocated.
+MAX_TRACE_BYTES = 4 << 30
 
 _SPACES: dict[tuple[str, int], StateSpace] = {}
 _TABLES: dict[tuple[str, int], "TableSet"] = {}
@@ -214,6 +219,13 @@ def run_vector_sweep(
         dtype, inf = np.int32, np.int32(2**30)
     else:
         dtype, inf = np.int64, np.int64(2**62)
+    if trace:
+        trace_bytes = (len(events) + 1) * n * np.dtype(dtype).itemsize
+        if trace_bytes > MAX_TRACE_BYTES:
+            raise GuardExceeded(
+                f"trace of {len(events) + 1} layers of {n} states needs "
+                f"{trace_bytes} bytes, above the limit of {MAX_TRACE_BYTES}"
+            )
 
     cost = np.full(n, inf, dtype=dtype)
     cost[0] = 0  # the all-empty state: key 0, the smallest

@@ -3,7 +3,8 @@ import time
 import pytest
 
 from rectisolve.cli import main
-from rectisolve.geometry import parse_instance
+from rectisolve.generate import gen_instance
+from rectisolve.geometry import parse_instance, write_instance
 from rectisolve.states import count_states
 
 from reference_oracles import tsp_bruteforce
@@ -208,6 +209,7 @@ def test_h_below_one_is_invalid_input(capsys, command):
         ("solve-steiner", 12, ()),  # steiner h=12: 4 302 645 states
         ("states", None, ("--problem", "tsp", "--h", "10")),
         ("states", None, ("--problem", "tsp", "--h", "6000")),  # count: 5000 digits
+        ("count", None, ("--problem", "tsp", "--h", "1000000000")),
     ],
 )
 def test_state_space_guard_refuses_at_once(tmp_path, capsys, command, points, extra):
@@ -219,3 +221,14 @@ def test_state_space_guard_refuses_at_once(tmp_path, capsys, command, points, ex
     assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert "guard" in err
+
+
+def test_trace_byte_guard_exits_3(tmp_path, capsys):
+    # tsp h=8 over 1500 columns: about 8.6 GB of trace layers
+    text = write_instance(gen_instance(1500, 8, 6000, 32, 1))
+    inst = write_instance_file(tmp_path, text)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "solve-tsp", "--input", inst)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert "guard" in err and "bytes" in err

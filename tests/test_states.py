@@ -8,6 +8,7 @@ from rectisolve import tsp
 from rectisolve.errors import GuardExceeded, InputError
 from rectisolve.states import (
     EVEN,
+    MAX_COUNT_H,
     ODD,
     ZERO,
     count_states,
@@ -128,6 +129,11 @@ class TestCounts:
     def test_big_h_exact_integers(self):
         assert count_states(40, "tsp") > 10**25  # stays exact, no overflow
 
+    def test_count_guard(self):
+        assert count_states(MAX_COUNT_H, "tsp") > 2**MAX_COUNT_H
+        with pytest.raises(GuardExceeded):
+            count_states(MAX_COUNT_H + 1, "steiner")
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("h", range(1, 7))
@@ -199,6 +205,24 @@ def test_space_matches_reference_enumerator(problem, h):
         assert np.array_equal(space.parity_mat, parity)
     assert space.keys[0] == 0  # the all-empty state, where every sweep starts
     assert not comp[0].any()
+
+
+@pytest.mark.parametrize("h", [8, 9])
+def test_tour_space_is_tree_space_with_even_parities(h):
+    # past the tuple enumerator's reach: the tour space is pinned down by
+    # its tree space and the parity rule, however it is built
+    keys = enumerate_states(h, "tsp")
+    assert (np.diff(keys) > 0).all()
+    comp, parity = unpack_states(keys, h, "tsp")
+    assert np.array_equal(parity == ZERO, comp == 0)
+    for label in range(1, h + 1):
+        assert (((comp == label) & (parity == ODD)).sum(axis=1) % 2 == 0).all()
+    # each tree state once per U/E choice of its rows but one per component
+    tree_keys, copies = np.unique(pack_states(comp, None), return_counts=True)
+    assert np.array_equal(tree_keys, enumerate_states(h, "steiner"))
+    tree, _ = unpack_states(tree_keys, h, "steiner")
+    free_rows = (tree > 0).sum(axis=1) - tree.max(axis=1)
+    assert np.array_equal(copies, 2**free_rows)
 
 
 class TestStateKey:

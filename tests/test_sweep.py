@@ -1,10 +1,11 @@
+import time
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from rectisolve import steiner, tsp
-from rectisolve.errors import InternalInfeasibleError
+from rectisolve import steiner, tables, tsp
+from rectisolve.errors import GuardExceeded, InternalInfeasibleError
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import (
     COORD_LIMIT,
@@ -95,6 +96,24 @@ def test_reconstruct_replays_to_final_state():
     state, cost = replay(grid, initial_tsp_state(grid.h), tsp_transition, moves)
     assert cost == res.cost
     assert state == res.final_state
+
+
+def test_trace_byte_guard_refuses_at_once():
+    # tsp h=8 over 1500 columns: 22 493 layers of 95 200 int32 costs
+    inst = gen_instance(1500, 8, 6000, 32, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="8565334400 bytes"):
+        solve_tsp(inst, trace=True)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_trace_byte_guard_spares_rolling_mode(monkeypatch):
+    inst = gen_instance(8, 3, 32, 12, 2)
+    want = solve_steiner(inst, trace=True).length
+    monkeypatch.setattr(tables, "MAX_TRACE_BYTES", 0)
+    with pytest.raises(GuardExceeded):
+        solve_steiner(inst, trace=True)
+    assert solve_steiner(inst, trace=False).length == want
 
 
 def test_empty_transition_raises():
