@@ -9,15 +9,20 @@ from index 0 alone.
 
 Each distinct event shape ("kind": segment orientation, row, and for a
 horizontal segment whether it departs a terminal) gets a precomputed
-transition table: three equal-length arrays of source index, destination
-index and multiplicity, one row per transition, sorted by
-(destination, source, multiplicity). Processing one event gathers the
-source costs, adds each row's multiplicity times the segment length, and
-reduces the rows into the next layer with one ``np.minimum.at`` over the
-destination indices. Reconstruction breaks equal costs toward the first
-row of a destination's run, the smallest (source index, multiplicity)
-pair; sources are sorted by packed key, so this is the smallest
-(predecessor key, multiplicity) pair.
+transition table in two parts, as in the hybrid sparse-matrix formats:
+``keep``, an N-long int8 vector holding the multiplicity of each state's
+transition to itself (-1 where it has none), and the moving rows, three
+equal-length arrays of source index, destination index and multiplicity,
+sorted by (destination, source, multiplicity). Of the rows a kernel emits
+for one (source, destination) pair only the one with the smallest
+multiplicity is kept: segment lengths are positive, so no other can win.
+Processing one event is one min-plus step into the next layer: a dense
+pass adds each state's own multiplicity times the segment length to its
+cost, then the moving rows gather their source costs, add their weight and
+reduce into that layer with one ``np.minimum.at`` over the destination
+indices. Reconstruction breaks equal costs toward the smallest (source
+index, multiplicity) pair; sources are sorted by packed key, so this is the
+smallest (predecessor key, multiplicity) pair.
 
 A table is built with numpy over the whole space at once. The solver's
 kernel maps every state to its candidate successors, as arrays of source
@@ -30,9 +35,9 @@ which is a kernel bug and raises InternalInfeasibleError.
 Tables depend only on (variant, h), never on segment lengths or column
 positions, so they are cached and shared across instances and runs.
 Costs use int32 when the instance's total-length upper bound allows it.
-Trace mode keeps every layer for path reconstruction, up to
-MAX_TRACE_BYTES of them; rolling mode keeps two layers and reports the
-cost only.
+Trace mode keeps every layer for path reconstruction, as the rows of one
+preallocated array of up to MAX_TRACE_BYTES; rolling mode keeps two rows
+and reports the cost only.
 
 Both solvers run the same sweep: a ``Variant`` names the state format,
 the kernel, the final-layer acceptance and the largest multiplicity, and
@@ -41,6 +46,7 @@ the kernel, the final-layer acceptance and the largest multiplicity, and
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -122,10 +128,14 @@ def get_space(problem: str, h: int) -> StateSpace:
 
 @dataclass
 class KindTable:
-    """One row per transition, rows sorted by (dst, src, mult)."""
+    """A state's transition to itself as one dense entry, and every other
+    transition as one row, rows sorted by (dst, src, mult). One (src, dst)
+    pair has at most one row, the one with the smallest multiplicity."""
 
+    keep: np.ndarray  # int8 per state: the multiplicity to itself, or -1
+    lost: np.ndarray  # intp indices of the states where keep is -1
     src: np.ndarray  # int32 source state index
-    dst: np.ndarray  # int32 destination state index
+    dst: np.ndarray  # int32 destination state index, src != dst
     mult: np.ndarray  # int8 edges the segment gets (0, 1 or 2)
 
 
@@ -165,7 +175,17 @@ class TableSet:
             self._raise_non_canonical(kind, comp, parity, moved[missing][0])
         dst[moved] = found
         order = np.lexsort((mult, src, dst))
-        return KindTable(src[order], dst[order], mult[order])
+        src, dst, mult = src[order], dst[order], mult[order]
+        # the first row of each (dst, src) run has the smallest multiplicity
+        first = np.ones(len(src), dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        stay = src == dst
+        own = first & stay
+        keep = np.full(len(space.keys), -1, dtype=np.int8)
+        keep[src[own]] = mult[own]
+        rows = first & ~stay
+        lost = np.flatnonzero(keep < 0)
+        return KindTable(keep, lost, src[rows], dst[rows], mult[rows])
 
     def _raise_non_canonical(self, kind: Kind, comp, parity, r):
         parity_row = None if parity is None else parity[r].tolist()
@@ -215,10 +235,11 @@ def run_vector_sweep(
     kinds = [event_kind(grid, ev) for ev in events]
 
     bound = sum(mult_max * ev.length for ev in events)
+    # 0-d arrays, which a ufunc call takes faster than numpy scalars
     if bound < 2**29:
-        dtype, inf = np.int32, np.int32(2**30)
+        dtype, inf = np.int32, np.array(2**30, dtype=np.int32)
     else:
-        dtype, inf = np.int64, np.int64(2**62)
+        dtype, inf = np.int64, np.array(2**62, dtype=np.int64)
     if trace:
         trace_bytes = (len(events) + 1) * n * np.dtype(dtype).itemsize
         if trace_bytes > MAX_TRACE_BYTES:
@@ -227,23 +248,42 @@ def run_vector_sweep(
                 f"{trace_bytes} bytes, above the limit of {MAX_TRACE_BYTES}"
             )
 
-    cost = np.full(n, inf, dtype=dtype)
+    # every layer is a row of one array; rolling mode alternates two rows
+    store = np.empty((len(events) + 1 if trace else 2, n), dtype=dtype)
+    cost = store[0]
+    cost.fill(inf)
     cost[0] = 0  # the all-empty state: key 0, the smallest
-    layers = [cost.copy()] if trace else None
-    max_states = 1
+    reached_mask = cost < inf
+    reached = max_states = 1
+    # the moving rows' buffers, grown to the largest table met so far
+    cand, weight, below = np.empty(0, dtype), np.empty(0, dtype), np.empty(0, bool)
     expansions = 0
-    for event, kind in zip(events, kinds):
+    for e, (event, kind) in enumerate(zip(events, kinds), 1):
         table = tableset.get(kind)
-        # an int8 mult times a Python int would stay int8 and overflow; an
-        # unreached source gives at most inf + bound, inside the dtype
-        cand = cost[table.src] + table.mult * dtype(event.length)
-        nxt = np.full(n, inf, dtype=dtype)
-        np.minimum.at(nxt, table.dst, cand)
-        expansions += int((cand < inf).sum())
+        nxt = store[e if trace else e & 1]
+        # a 0-d length of the cost dtype makes the int8 multiplicities'
+        # products that dtype; an unreached source gives at most
+        # inf + bound, inside it
+        length = np.array(event.length, dtype)
+        np.multiply(table.keep, length, out=nxt)
+        nxt += cost
+        np.minimum(nxt, inf, out=nxt)  # an unreached state stays exactly inf
+        # each reached state that is not lost expands to itself
+        expansions += reached
+        if table.lost.size:
+            nxt[table.lost] = inf
+            expansions -= np.count_nonzero(reached_mask[table.lost])
+        rows = len(table.src)
+        if rows > len(cand):
+            cand, weight = np.empty(rows, dtype), np.empty(rows, dtype)
+            below = np.empty(rows, bool)
+        # "clip" clips no valid index and, unlike "raise", fills out unbuffered
+        moved = cost.take(table.src, out=cand[:rows], mode="clip")
+        moved += np.multiply(table.mult, length, out=weight[:rows])
+        expansions += np.count_nonzero(np.less(moved, inf, out=below[:rows]))
+        np.minimum.at(nxt, table.dst, moved)
         cost = nxt
-        if trace:
-            layers.append(cost)
-        reached = int((cost < inf).sum())
+        reached = np.count_nonzero(np.less(cost, inf, out=reached_mask))
         if reached == 0:
             raise InternalInfeasibleError(f"layer emptied at event {event}")
         max_states = max(max_states, reached)
@@ -255,14 +295,14 @@ def run_vector_sweep(
     best = candidates[int(np.argmin(cost[candidates]))]
     stats = SweepStats(
         layer_count=len(events) + 1,
-        max_layer_states=max_states,
-        total_expansions=expansions,
+        max_layer_states=int(max_states),  # count_nonzero gives numpy ints
+        total_expansions=int(expansions),
         wall_ms=(time.perf_counter() - t0) * 1000.0,
     )
     return VectorResult(
         cost=int(cost[best]),
         final_index=int(best),
-        layers=layers,
+        layers=list(store) if trace else None,
         events=events,
         kinds=kinds,
         stats=stats,
@@ -283,14 +323,17 @@ def reconstruct_vector(
         table = tableset.get(result.kinds[l - 1])
         # int32 keys, as int64 ones would make searchsorted cast all of dst
         keys = np.array((idx, idx + 1), dtype=np.int32)
-        a, b = np.searchsorted(table.dst, keys).tolist()
-        if a == b:
+        a, b = table.dst.searchsorted(keys).tolist()
+        # in tie order: the smaller sources, the state itself, the larger ones
+        rows = list(zip(table.src[a:b].tolist(), table.mult[a:b].tolist()))
+        own = int(table.keep[idx])
+        if own >= 0:
+            rows.insert(bisect.bisect(rows, (idx,)), (idx, own))
+        if not rows:
             raise InternalInfeasibleError(f"no transitions into state at layer {l}")
         here = int(result.layers[l][idx])
         prev_layer = result.layers[l - 1]
-        for t in range(a, b):
-            s = int(table.src[t])
-            m = int(table.mult[t])
+        for s, m in rows:
             if int(prev_layer[s]) + m * event.length == here:
                 if m:
                     moves.append((event, m))

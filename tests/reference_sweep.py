@@ -6,8 +6,8 @@ state by state by its own per-state kernels. It shares neither the
 package's state format, its whole-space kernels nor its table machinery,
 and the tests require it to give the same optima, edges and tours as
 ``solve_tsp`` and ``solve_steiner``. Too slow for anything but small
-instances. ``reference_table`` builds a transition table from the same
-per-state kernels, for comparison with the package's tables.
+instances. ``reference_table`` builds a kind's transition rows from the
+same per-state kernels, for comparison with the package's tables.
 
 Each scheduled segment is one layer transition: every state of the current
 layer is expanded through a problem-specific transition function into the
@@ -36,7 +36,7 @@ from rectisolve.steiner import (
     SteinerTree,
     validate_steiner_tree,
 )
-from rectisolve.tables import Kind, KindTable, StateSpace, SweepStats
+from rectisolve.tables import Kind, StateSpace, SweepStats
 from rectisolve.tsp import TourSubgraph, TspSolution, orient_tour, validate_tour_subgraph
 
 from reference_states import (
@@ -315,10 +315,14 @@ def steiner_kernel(state: SteinerFrontierState, kind: Kind) -> list:
     return _steiner_horizontal(state, kind[1], kind[2])
 
 
-def reference_table(space: StateSpace, kernel, kind: Kind) -> KindTable:
-    """A kind's transition table built state by state, with a dict from
-    packed key to index: the package's table build before it was
-    vectorised. ``kernel`` is ``tsp_kernel`` or ``steiner_kernel``."""
+def reference_table(
+    space: StateSpace, kernel, kind: Kind
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A kind's transition rows built state by state, with a dict from
+    packed key to index: int32 source, int32 destination and int8
+    multiplicity, one row per transition the kernel emits, sorted by
+    (destination, source, multiplicity). ``kernel`` is ``tsp_kernel`` or
+    ``steiner_kernel``."""
     states = states_from_matrices(space.comp_mat, space.parity_mat)
     index = {encode_state(s): i for i, s in enumerate(states)}
     srcs: list[int] = []
@@ -339,7 +343,7 @@ def reference_table(space: StateSpace, kernel, kind: Kind) -> KindTable:
     dst = np.array(dsts, dtype=np.int32)
     mult = np.array(mults, dtype=np.int8)
     order = np.lexsort((mult, src, dst))
-    return KindTable(src[order], dst[order], mult[order])
+    return src[order], dst[order], mult[order]
 
 
 # --- per-state transitions and acceptance ---------------------------------

@@ -26,13 +26,21 @@ from rectisolve.tables import (
 )
 from rectisolve.tsp import solve_tsp
 
-from reference_states import encode_state, initial_tsp_state, states_from_matrices
+from reference_states import (
+    encode_state,
+    initial_steiner_state,
+    initial_tsp_state,
+    states_from_matrices,
+)
 from reference_sweep import (
     reconstruct,
     reference_table,
     replay,
     run_sweep,
+    steiner_accept,
     steiner_kernel,
+    steiner_transition,
+    tsp_accept,
     tsp_kernel,
     tsp_transition,
 )
@@ -137,6 +145,17 @@ def kinds(h):
 TABLE_CASES = [("tsp", h) for h in range(1, 7)] + [("steiner", h) for h in range(1, 9)]
 
 
+def expand_rows(table):
+    """A split table as plain rows, each state's row to itself included,
+    sorted by (dst, src, mult)."""
+    own = np.flatnonzero(table.keep >= 0).astype(np.int32)
+    src = np.concatenate([table.src, own])
+    dst = np.concatenate([table.dst, own])
+    mult = np.concatenate([table.mult, table.keep[own]])
+    order = np.lexsort((mult, src, dst))
+    return src[order], dst[order], mult[order]
+
+
 @pytest.mark.parametrize("problem, h", TABLE_CASES)
 def test_tables_match_reference_builder(problem, h):
     space = get_space(problem, h)
@@ -150,11 +169,17 @@ def test_tables_match_reference_builder(problem, h):
     tableset = TableSet(space, kernel)
     for kind in kinds(h):
         got = tableset.get(kind)
-        want = reference_table(space, reference_kernel, kind)
-        for field, dtype in (("src", np.int32), ("dst", np.int32), ("mult", np.int8)):
-            a, b = getattr(got, field), getattr(want, field)
-            assert a.dtype == b.dtype == dtype, (kind, field)
-            assert np.array_equal(a, b), (kind, field)
+        assert np.array_equal(got.lost, np.flatnonzero(got.keep < 0)), kind
+        assert not (got.src == got.dst).any(), kind
+        src, dst, mult = reference_table(space, reference_kernel, kind)
+        # a repeated (src, dst) pair keeps only its first, smallest-mult row
+        first = np.ones(len(src), dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        want = (src[first], dst[first], mult[first])
+        names, dtypes = ("src", "dst", "mult"), (np.int32, np.int32, np.int8)
+        for name, a, b, dtype in zip(names, expand_rows(got), want, dtypes):
+            assert a.dtype == b.dtype == dtype, (kind, name)
+            assert np.array_equal(a, b), (kind, name)
 
 
 def test_non_canonical_kernel_output_raises():
@@ -192,7 +217,7 @@ def fake_tableset(rows_by_kind):
     space = get_space("steiner", 2)
 
     def kernel(space, kind):
-        src, dst, mult = np.array(rows_by_kind[kind]).T
+        src, dst, mult = np.array(rows_by_kind[kind], dtype=int).reshape(-1, 3).T
         return src, space.comp_mat[dst], None, mult.astype(np.int8)
 
     return TableSet(space, kernel)
@@ -206,8 +231,17 @@ def test_reconstruction_breaks_ties_by_source_then_multiplicity():
         "join": [(2, 3, 1), (1, 3, 0)],
         # at zero length every multiplicity out of source 1 costs the same
         "double": [(1, 3, 2), (2, 3, 0), (1, 3, 1)],
+        # state 2 is reached from source 1 with m=2, from itself with m=1
+        # and from source 3 with m=0
+        "meet": [(3, 2, 0), (2, 2, 1), (1, 2, 2)],
+        # one moving pair and one pair of a state with itself, each twice
+        "dup": [(0, 1, 2), (3, 3, 2), (0, 1, 1), (3, 3, 1)],
     })
     assert np.array_equal(tableset.get("join").src, [1, 2])
+    dup = tableset.get("dup")  # each pair is stored once, with multiplicity 1
+    assert (dup.src.tolist(), dup.dst.tolist(), dup.mult.tolist()) == ([0], [1], [1])
+    assert dup.keep.tolist() == [-1, -1, -1, 1, -1]
+    assert dup.lost.tolist() == [0, 1, 2, 4]
     spread, join = EdgeEvent("V", 1, 1, 5), EdgeEvent("V", 1, 2, 5)
     layers = [
         np.array([0, inf, inf, inf, inf]),
@@ -222,6 +256,78 @@ def test_reconstruction_breaks_ties_by_source_then_multiplicity():
     layers = [np.array([inf, 4, 4, inf, inf]), np.array([inf, inf, inf, 4, inf])]
     result = VectorResult(4, 3, layers, [double], ["double"], None)
     assert reconstruct_vector(result, tableset) == [(double, 1)]
+
+    meet = EdgeEvent("V", 1, 1, 5)
+    after = np.array([inf, inf, 10, inf, inf])
+    for before, want in (
+        ([inf, 0, 5, 10, inf], [(meet, 2)]),  # all three cost 10: source 1 wins
+        ([inf, inf, 5, 10, inf], [(meet, 1)]),  # state 2 itself wins over source 3
+    ):
+        result = VectorResult(10, 2, [np.array(before), after], [meet], ["meet"], None)
+        assert reconstruct_vector(result, tableset) == want
+
+
+REFERENCE_SWEEPS = {
+    "tsp": (tsp.TSP, initial_tsp_state, tsp_transition, tsp_accept),
+    "steiner": (
+        steiner.STEINER, initial_steiner_state, steiner_transition, steiner_accept
+    ),
+}
+
+
+@pytest.mark.parametrize("problem", ["tsp", "steiner"])
+def test_layers_match_reference_sweep(problem):
+    # every reached state's cost, layer by layer; an unreached one is inf
+    variant, initial, transition, accept = REFERENCE_SWEEPS[problem]
+    for seed in range(6):
+        inst = gen_instance(4 + seed, 2 + seed % 3, 60, 40, 700 + seed)
+        grid = build_grid(inst)
+        term_rows = grid.terminal_rows_last_col()
+        want = run_sweep(
+            grid, initial(grid.h), transition, lambda s: accept(s, term_rows)
+        )
+        got, _ = tables.solve_grid(variant, grid, trace=True)
+        space = get_space(problem, grid.h)
+        keys = [
+            encode_state(s)
+            for s in states_from_matrices(space.comp_mat, space.parity_mat)
+        ]
+        assert len(got.layers) == len(want.trace.layers)
+        for layer, ref in zip(got.layers, want.trace.layers):
+            inf = 2**30 if layer.dtype == np.int32 else 2**62
+            expect = [ref[k].cost if k in ref else inf for k in keys]
+            assert layer.tolist() == expect
+        assert got.stats.max_layer_states == want.stats.max_layer_states
+        assert type(got.stats.max_layer_states) is int  # JSON-serialisable
+        assert type(got.stats.total_expansions) is int
+        assert got.cost == want.cost
+
+
+def test_sweep_raises_when_a_layer_empties():
+    grid = build_grid(make_instance([(0, 0), (3, 1)]))
+    tableset = fake_tableset(defaultdict(list))  # no transitions at all
+    with pytest.raises(InternalInfeasibleError, match="layer emptied"):
+        run_vector_sweep(grid, tableset, np.ones(5, dtype=bool), mult_max=2)
+
+
+def test_sweep_raises_when_no_final_state_is_accepted():
+    grid = build_grid(make_instance([(0, 0), (3, 1)]))
+    tableset = fake_tableset(defaultdict(lambda: [(0, 0, 0), (0, 1, 1)]))
+    with pytest.raises(InternalInfeasibleError, match="no accepted state"):
+        run_vector_sweep(grid, tableset, np.zeros(5, dtype=bool), mult_max=2)
+
+
+def test_reconstruction_raises_on_a_broken_cost_chain():
+    grid = build_grid(make_instance([(0, 0), (3, 1)]))
+    tableset = fake_tableset(defaultdict(lambda: [(0, 0, 0), (0, 1, 1), (1, 1, 0)]))
+    accept = np.array([False, True, False, False, False])
+    result = run_vector_sweep(grid, tableset, accept, mult_max=2)
+    # state 1 is first reached at layer 1, and the tie on the last event
+    # goes to source 0
+    assert reconstruct_vector(result, tableset) == [(result.events[-1], 1)]
+    result.layers[4][1] += 1  # no row into state 1 gives this cost any more
+    with pytest.raises(InternalInfeasibleError, match="broken cost chain at layer 4"):
+        reconstruct_vector(result, tableset)
 
 
 @pytest.mark.parametrize(
