@@ -42,7 +42,7 @@ class GuardExceeded(RuntimeError):
 class InternalInfeasibleError(RuntimeError):
     """The solver reached a state that is impossible for valid instances.
 
-    Raised when a sweep layer empties out, no final state is accepted, or a
+    Raised when a kernel's table is malformed, no final state is accepted, or a
     reconstructed solution fails its own validity replay. Always a bug.
     """
 

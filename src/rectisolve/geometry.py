@@ -38,32 +38,23 @@ def l1(p: Point, q: Point) -> int:
 
 @dataclass(frozen=True)
 class Instance:
-    """A deduplicated set of integer points.
-
-    ``original_count`` is the number of points declared by the source
-    (duplicates are merged: a tour or tree visiting a point visits all of
-    its copies).
-    """
+    """A deduplicated set of integer points (duplicates are merged: a tour
+    or tree visiting a point visits all of its copies)."""
 
     points: tuple[Point, ...]
-    original_count: int
 
     def __post_init__(self):
         if not self.points:
             raise EmptyInstanceError("instance has no points")
-        if self.original_count < len(self.points):
-            raise ValueError("original_count below deduplicated size")
 
 
 def make_instance(coords: Iterable[tuple[int, int]]) -> Instance:
     """Build an Instance from raw (x, y) pairs, dropping repeats."""
     seen: dict[Point, None] = {}
-    count = 0
     for x, y in coords:
-        count += 1
         _check_coord(x, y, line=None)
         seen.setdefault(Point(int(x), int(y)))
-    return Instance(points=tuple(seen), original_count=count)
+    return Instance(points=tuple(seen))
 
 
 def _check_coord(x: int, y: int, line: int | None):

@@ -7,10 +7,11 @@ segment: skip or take. Filtering:
 * connecting two rows of the same component would close a cycle, which a
   minimum tree never contains;
 * a horizontal step that gives the departing vertex its only edge creates
-  a pendant; pruned unless the vertex is a terminal (a leaf of the tree);
+  a pendant; pruned, except at a terminal (a leaf), which the sweep opens;
 * component closure is rejected exactly as in the tour solver.
 
-Final layer: every last-column terminal labeled, all labels equal.
+Final layer (``tables.accept_mask``): every last-column terminal labeled,
+all labels equal.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInfeasibleError
-from .geometry import HananGrid, Instance, build_grid
+from .geometry import Instance, build_grid
 from .solution import (
     SolutionEdge,
     UnionFind,
@@ -44,7 +45,6 @@ class SteinerSolution:
     length: int
     tree: SteinerTree | None
     stats: SweepStats
-    grid: HananGrid | None
 
 
 # --- transitions ----------------------------------------------------------
@@ -55,7 +55,7 @@ def _kernel(space: tables_mod.StateSpace, kind: tables_mod.Kind):
     for the whole state space at once, as ``tables.Kernel`` arrays with
     canonical labels."""
     comp = space.comp_mat
-    n, h = comp.shape
+    n = len(comp)
     if kind[0] == "V":
         # skip, or take unless the two rows already share a component (cycle)
         lo = kind[1] - 1
@@ -66,35 +66,20 @@ def _kernel(space: tables_mod.StateSpace, kind: tables_mod.Kind):
             (taken, join_rows(comp[taken], lo), None, 1),
         ])
 
-    # Horizontal: an empty terminal row must take the segment (skipping
-    # would leave the terminal with degree zero), which opens a fresh
-    # component; an empty non-terminal row skips (taking its first and last
-    # edge would make a pendant). A labeled row takes the segment, or skips
-    # and leaves its component unless that strands the component (closure).
+    # Horizontal: an empty row skips (taking its first and last edge would
+    # make a pendant; an empty terminal row is opened by the sweep instead).
+    # A labeled row takes the segment, or skips and leaves its component
+    # unless that strands the component (closure).
     r = kind[1] - 1
     c = comp[:, r]
-    empty = np.flatnonzero(c == 0)
-    if kind[2]:
-        blocks = [(empty, set_label(comp[empty], r, h + 1), None, 1)]
-    else:
-        blocks = [(empty, comp[empty], None, 0)]
     left = np.flatnonzero((c > 0) & ((comp == c[:, None]).sum(axis=1) > 1))
-    blocks.append((left, set_label(comp[left], r, 0), None, 0))
-    busy = np.flatnonzero(c > 0)
-    blocks.append((busy, comp[busy], None, 1))
-    return tables_mod.stack_candidates(blocks)
+    return tables_mod.stack_candidates([
+        (left, set_label(comp[left], r, 0), None, 0),
+        (np.arange(n), comp, None, (c > 0).astype(np.int8)),
+    ])
 
 
-def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:
-    cm = space.comp_mat
-    ok = cm.max(axis=1) == 1
-    tr = np.asarray(term_rows, dtype=bool)
-    if tr.any():
-        ok &= (cm[:, tr] != 0).all(axis=1)
-    return ok
-
-
-STEINER = tables_mod.Variant("steiner", _kernel, _accept_mask, 1)
+STEINER = tables_mod.Variant("steiner", _kernel, 1)
 
 
 # --- solving --------------------------------------------------------------
@@ -107,7 +92,7 @@ def solve_steiner(instance: Instance, *, trace: bool = True) -> SteinerSolution:
     edge set, rolling mode the length only.
     """
     if len(instance.points) == 1:
-        return SteinerSolution(0, SteinerTree((), 0), SweepStats(1, 1, 0, 0.0), None)
+        return SteinerSolution(0, SteinerTree((), 0), SweepStats(1, 1, 0, 0.0))
     grid = build_grid(instance)
     res, moves = tables_mod.solve_grid(STEINER, grid, trace)
     length, stats = res.cost, res.stats
@@ -121,7 +106,7 @@ def solve_steiner(instance: Instance, *, trace: bool = True) -> SteinerSolution:
                 f"reconstruction length {tree.total_length} != optimum {length}"
             )
         validate_steiner_tree(tree, instance)
-    return SteinerSolution(length, tree, stats, grid)
+    return SteinerSolution(length, tree, stats)
 
 
 def validate_steiner_tree(tree: SteinerTree, instance: Instance):

@@ -7,22 +7,27 @@ per-row parities (tour variant) and component labels, which are all the
 kernels see. The all-empty state packs to key 0, so every sweep starts
 from index 0 alone.
 
-Each distinct event shape ("kind": segment orientation, row, and for a
-horizontal segment whether it departs a terminal) gets a precomputed
-transition table in two parts, as in the hybrid sparse-matrix formats:
-``keep``, an N-long int8 vector holding the multiplicity of each state's
-transition to itself (-1 where it has none), and the moving rows, three
-equal-length arrays of source index, destination index and multiplicity,
-sorted by (destination, source, multiplicity). Of the rows a kernel emits
-for one (source, destination) pair only the one with the smallest
-multiplicity is kept: segment lengths are positive, so no other can win.
-Processing one event is one min-plus step into the next layer: a dense
-pass adds each state's own multiplicity times the segment length to its
-cost, then the moving rows gather their source costs, add their weight and
-reduce into that layer with one ``np.minimum.at`` over the destination
+Each distinct event shape ("kind": a segment's orientation and row) gets a
+precomputed transition table in two parts, as in the hybrid sparse-matrix
+formats: ``keep``, an N-long int8 vector holding the multiplicity of each
+state's transition to itself, which every state has, and the moving rows,
+three equal-length arrays of source index, destination index and
+multiplicity, sorted by (destination, source, multiplicity). Of the rows a
+kernel emits for one (source, destination) pair only the one with the
+smallest multiplicity is kept: segment lengths are positive, so no other
+can win. Processing one event is one min-plus step into the next layer: a
+dense pass adds each state's own multiplicity times the segment length to
+its cost, then the moving rows gather their source costs, add their weight
+and reduce into that layer with one ``np.minimum.at`` over the destination
 indices. Reconstruction breaks equal costs toward the smallest (source
 index, multiplicity) pair; sources are sorted by packed key, so this is the
 smallest (predecessor key, multiplicity) pair.
+
+Terminals are handled here alone. At a horizontal event that departs a
+terminal, a state whose row is empty may not stay: it opens a fresh
+single-row component there (``OpenMap``), at the multiplicity its opened
+state keeps itself at. The final layer accepts one component with a label
+on every last-column terminal row and, for tours, no odd row.
 
 A table is built with numpy over the whole space at once. The solver's
 kernel maps every state to its candidate successors, as arrays of source
@@ -30,7 +35,8 @@ index, labels, parities and multiplicity. Each candidate is packed into an
 int64 key (``states.pack_states``); one that kept its source's key goes
 back to that source, and the rest are looked up by binary search in the
 sorted key array. A candidate that is not there is not a canonical state,
-which is a kernel bug and raises InternalInfeasibleError.
+which, like a state left without a transition to itself, is a kernel bug
+and raises InternalInfeasibleError.
 
 Tables depend only on (variant, h), never on segment lengths or column
 positions, so they are cached and shared across instances and runs.
@@ -40,13 +46,12 @@ preallocated array of up to MAX_TRACE_BYTES; rolling mode keeps two rows
 and reports the cost only.
 
 Both solvers run the same sweep: a ``Variant`` names the state format,
-the kernel, the final-layer acceptance and the largest multiplicity, and
-``solve_grid`` runs one on a grid.
+the kernel and the largest multiplicity, and ``solve_grid`` runs one on a
+grid.
 """
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -55,17 +60,15 @@ import numpy as np
 
 from .errors import GuardExceeded, InternalInfeasibleError
 from .geometry import EdgeEvent, HananGrid, edge_schedule
-from .states import MAX_LABEL, enumerate_states, pack_states, render_row, unpack_states
+from .states import EVEN, MAX_LABEL, ODD, count_states, enumerate_states, pack_states
+from .states import render_row, set_label, unpack_states
 
-Kind = tuple
+Kind = tuple  # ("V", r) or ("H", r), r the 1-based row
 # (space, kind) -> (src, comp, parity, mult): one candidate per entry, with
 # its (M, h) labels and parities (None for the tree variant) and its int8
 # multiplicity.
 Candidates = tuple[np.ndarray, np.ndarray, "np.ndarray | None", np.ndarray]
 Kernel = Callable[["StateSpace", Kind], Candidates]
-# (space, terminal flags of the last column's rows) -> the final-layer
-# states a solution may end in, as an N-long bool mask
-Accept = Callable[["StateSpace", tuple[bool, ...]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,6 @@ class Variant:
 
     name: str  # "tsp" or "steiner": the state format and the cache key
     kernel: Kernel
-    accept: Accept
     mult_max: int  # the most edges one segment may get
 
 
@@ -110,6 +112,9 @@ class StateSpace:
 # Trace mode keeps one cost array per layer; a sweep whose layers would
 # take more bytes than this is refused before any of them is allocated.
 MAX_TRACE_BYTES = 4 << 30
+# A warm rolling sweep takes 6-9 ns per state and event; a sweep of more
+# state-events than this (60-90 s) is refused before enumerating states.
+MAX_STATE_EVENTS = 10**10
 
 _SPACES: dict[tuple[str, int], StateSpace] = {}
 _TABLES: dict[tuple[str, int], "TableSet"] = {}
@@ -132,20 +137,32 @@ class KindTable:
     transition as one row, rows sorted by (dst, src, mult). One (src, dst)
     pair has at most one row, the one with the smallest multiplicity."""
 
-    keep: np.ndarray  # int8 per state: the multiplicity to itself, or -1
-    lost: np.ndarray  # intp indices of the states where keep is -1
+    keep: np.ndarray  # int8 per state: the multiplicity to itself
     src: np.ndarray  # int32 source state index
     dst: np.ndarray  # int32 destination state index, src != dst
     mult: np.ndarray  # int8 edges the segment gets (0, 1 or 2)
 
 
+@dataclass
+class OpenMap:
+    """Where a horizontal event that departs a terminal sends each state
+    whose row is empty, in place of its transition to itself: to its opened
+    state, with a fresh single-row component on that row."""
+
+    src: np.ndarray  # intp: the states whose row is empty
+    dst: np.ndarray  # intp: their opened states, ascending
+    mult: int  # the multiplicity every opened state keeps itself at
+
+
 class TableSet:
-    """Lazily built per-kind transition tables for one (variant, h)."""
+    """Lazily built per-kind transition tables and per-row open maps for
+    one (variant, h)."""
 
     def __init__(self, space: StateSpace, kernel: Kernel):
         self.space = space
         self.kernel = kernel
         self.tables: dict[Kind, KindTable] = {}
+        self.opens: dict[int, OpenMap] = {}
 
     def get(self, kind: Kind) -> KindTable:
         table = self.tables.get(kind)
@@ -154,26 +171,16 @@ class TableSet:
             self.tables[kind] = table
         return table
 
+    def open_map(self, row: int) -> OpenMap:
+        if row not in self.opens:
+            self.opens[row] = self._build_open(row)
+        return self.opens[row]
+
     def _build(self, kind: Kind) -> KindTable:
         space = self.space
         src, comp, parity, mult = self.kernel(space, kind)
-        # a value outside the packed fields would alias another state's key
-        bad = (comp < 0) | (comp > MAX_LABEL)
-        if parity is not None:
-            bad |= (parity < 0) | (parity > 2)
-        if bad.any():
-            first = np.flatnonzero(bad.any(axis=1))[0]
-            self._raise_non_canonical(kind, comp, parity, first)
-        keys = pack_states(comp, parity)
         src = src.astype(np.int32)
-        dst = src.copy()
-        moved = np.flatnonzero(keys != space.keys[src])
-        found = np.searchsorted(space.keys, keys[moved])
-        np.minimum(found, len(space.keys) - 1, out=found)
-        missing = space.keys[found] != keys[moved]
-        if missing.any():
-            self._raise_non_canonical(kind, comp, parity, moved[missing][0])
-        dst[moved] = found
+        dst = self._find(kind, src, comp, parity)
         order = np.lexsort((mult, src, dst))
         src, dst, mult = src[order], dst[order], mult[order]
         # the first row of each (dst, src) run has the smallest multiplicity
@@ -181,18 +188,62 @@ class TableSet:
         first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
         stay = src == dst
         own = first & stay
-        keep = np.full(len(space.keys), -1, dtype=np.int8)
-        keep[src[own]] = mult[own]
+        keep = mult[own]  # at most one row per state, in state order
+        if len(keep) < len(space.keys):
+            r = np.setdiff1d(np.arange(len(space.keys)), src[own])[0]
+            what = "left state {} without a transition to itself"
+            raise _fault(kind, what, space.comp_mat, space.parity_mat, r)
         rows = first & ~stay
-        lost = np.flatnonzero(keep < 0)
-        return KindTable(keep, lost, src[rows], dst[rows], mult[rows])
+        return KindTable(keep, src[rows], dst[rows], mult[rows])
 
-    def _raise_non_canonical(self, kind: Kind, comp, parity, r):
-        parity_row = None if parity is None else parity[r].tolist()
-        shown = render_row(comp[r].tolist(), parity_row)
-        raise InternalInfeasibleError(
-            f"kernel emitted non-canonical state {shown} for kind {kind}"
-        )
+    def _build_open(self, row: int) -> OpenMap:
+        comp_mat, parity_mat = self.space.comp_mat, self.space.parity_mat
+        r = row - 1
+        src = np.flatnonzero(comp_mat[:, r] == 0)
+        comp = set_label(comp_mat[src], r, comp_mat.shape[1] + 1)
+        parity = None
+        if parity_mat is not None:
+            parity = parity_mat[src]
+            parity[:, r] = EVEN
+        kind = ("H", row)
+        dst = self._find(kind, src, comp, parity)
+        order = np.argsort(dst)
+        src, dst = src[order], dst[order]
+        keep = self.get(kind).keep[dst]
+        if (keep != keep[0]).any():
+            r = dst[keep != keep[0]][0]
+            what = "keeps opened state {} at a second multiplicity"
+            raise _fault(kind, what, comp_mat, parity_mat, r)
+        return OpenMap(src, dst, int(keep[0]))
+
+    def _find(self, kind: Kind, src, comp, parity) -> np.ndarray:
+        """Each candidate's state index, in src's dtype."""
+        keys = self.space.keys
+        # a value outside the packed fields would alias another state's key
+        bad = (comp < 0) | (comp > MAX_LABEL)
+        if parity is not None:
+            bad |= (parity < 0) | (parity > 2)
+        if bad.any():
+            r = np.flatnonzero(bad.any(axis=1))[0]
+            raise _fault(kind, "emitted non-canonical state {}", comp, parity, r)
+        packed = pack_states(comp, parity)
+        dst = src.copy()
+        moved = np.flatnonzero(packed != keys[src])
+        found = np.searchsorted(keys, packed[moved])
+        np.minimum(found, len(keys) - 1, out=found)
+        missing = keys[found] != packed[moved]
+        if missing.any():
+            r = moved[missing][0]
+            raise _fault(kind, "emitted non-canonical state {}", comp, parity, r)
+        dst[moved] = found
+        return dst
+
+
+def _fault(kind: Kind, what: str, comp, parity, r) -> InternalInfeasibleError:
+    """A kernel fault at the state in row r of comp and parity."""
+    parity_row = None if parity is None else parity[r].tolist()
+    shown = render_row(comp[r].tolist(), parity_row)
+    return InternalInfeasibleError(f"kernel {what.format(shown)} for kind {kind}")
 
 
 def get_tableset(variant: Variant, h: int) -> TableSet:
@@ -203,12 +254,15 @@ def get_tableset(variant: Variant, h: int) -> TableSet:
     return cached
 
 
-def event_kind(grid: HananGrid, event: EdgeEvent) -> Kind:
-    """The table an event uses: a vertical segment depends on its row pair
-    only, a horizontal one also on whether it departs a terminal."""
-    if event.kind == "V":
-        return ("V", event.row)
-    return ("H", event.row, grid.is_terminal(event.row, event.col))
+def accept_mask(space: StateSpace, term_rows: tuple[bool, ...]) -> np.ndarray:
+    """The final-layer states a solution may end in: one component, a label
+    on every last-column terminal row, and for tours no odd row."""
+    comp = space.comp_mat
+    ok = comp.max(axis=1) == 1
+    ok &= (comp[:, np.asarray(term_rows, dtype=bool)] != 0).all(axis=1)
+    if space.parity_mat is not None:
+        ok &= (space.parity_mat != ODD).all(axis=1)
+    return ok
 
 
 @dataclass
@@ -218,6 +272,7 @@ class VectorResult:
     layers: list[np.ndarray] | None
     events: list[EdgeEvent]
     kinds: list[Kind]
+    departs: list[bool]  # whether each event departs a terminal
     stats: SweepStats
 
 
@@ -232,7 +287,8 @@ def run_vector_sweep(
     space = tableset.space
     n = len(space.keys)
     events = edge_schedule(grid)
-    kinds = [event_kind(grid, ev) for ev in events]
+    kinds = [(ev.kind, ev.row) for ev in events]
+    departs = [ev.kind == "H" and grid.is_terminal(ev.row, ev.col) for ev in events]
 
     bound = sum(mult_max * ev.length for ev in events)
     # 0-d arrays, which a ufunc call takes faster than numpy scalars
@@ -258,7 +314,7 @@ def run_vector_sweep(
     # the moving rows' buffers, grown to the largest table met so far
     cand, weight, below = np.empty(0, dtype), np.empty(0, dtype), np.empty(0, bool)
     expansions = 0
-    for e, (event, kind) in enumerate(zip(events, kinds), 1):
+    for e, (event, kind, opens) in enumerate(zip(events, kinds, departs), 1):
         table = tableset.get(kind)
         nxt = store[e if trace else e & 1]
         # a 0-d length of the cost dtype makes the int8 multiplicities'
@@ -268,11 +324,12 @@ def run_vector_sweep(
         np.multiply(table.keep, length, out=nxt)
         nxt += cost
         np.minimum(nxt, inf, out=nxt)  # an unreached state stays exactly inf
-        # each reached state that is not lost expands to itself
+        # each reached state expands to itself, or to its opened state
         expansions += reached
-        if table.lost.size:
-            nxt[table.lost] = inf
-            expansions -= np.count_nonzero(reached_mask[table.lost])
+        if opens:
+            opened = tableset.open_map(event.row)
+            np.minimum.at(nxt, opened.dst, cost[opened.src] + opened.mult * length)
+            nxt[opened.src] = inf
         rows = len(table.src)
         if rows > len(cand):
             cand, weight = np.empty(rows, dtype), np.empty(rows, dtype)
@@ -284,8 +341,6 @@ def run_vector_sweep(
         np.minimum.at(nxt, table.dst, moved)
         cost = nxt
         reached = np.count_nonzero(np.less(cost, inf, out=reached_mask))
-        if reached == 0:
-            raise InternalInfeasibleError(f"layer emptied at event {event}")
         max_states = max(max_states, reached)
 
     feasible = accept_mask & (cost < inf)
@@ -305,6 +360,7 @@ def run_vector_sweep(
         layers=list(store) if trace else None,
         events=events,
         kinds=kinds,
+        departs=departs,
         stats=stats,
     )
 
@@ -324,11 +380,18 @@ def reconstruct_vector(
         # int32 keys, as int64 ones would make searchsorted cast all of dst
         keys = np.array((idx, idx + 1), dtype=np.int32)
         a, b = table.dst.searchsorted(keys).tolist()
-        # in tie order: the smaller sources, the state itself, the larger ones
         rows = list(zip(table.src[a:b].tolist(), table.mult[a:b].tolist()))
-        own = int(table.keep[idx])
-        if own >= 0:
-            rows.insert(bisect.bisect(rows, (idx,)), (idx, own))
+        rows.append((idx, int(table.keep[idx])))
+        if result.departs[l - 1]:
+            opened = tableset.open_map(event.row)
+            if tableset.space.comp_mat[idx, event.row - 1]:
+                # a labeled row may have been opened from an empty one
+                k = int(opened.dst.searchsorted(idx))
+                if k < len(opened.dst) and opened.dst[k] == idx:
+                    rows.append((int(opened.src[k]), opened.mult))
+            elif idx in opened.src:  # it opened instead of staying
+                rows.pop()
+        rows.sort()  # tie order
         if not rows:
             raise InternalInfeasibleError(f"no transitions into state at layer {l}")
         here = int(result.layers[l][idx])
@@ -350,8 +413,15 @@ def solve_grid(
 ) -> tuple[VectorResult, list[tuple[EdgeEvent, int]] | None]:
     """The optimum of one variant on a grid, and in trace mode the
     segments and multiplicities of an optimal solution."""
-    tableset = get_tableset(variant, grid.h)
-    mask = variant.accept(tableset.space, grid.terminal_rows_last_col())
+    h = grid.h
+    events = 2 * h * grid.v - h - grid.v
+    if events * count_states(h, variant.name) > MAX_STATE_EVENTS:
+        raise GuardExceeded(
+            f"{variant.name} sweep of {events} events at h={h} is above the "
+            f"limit of {MAX_STATE_EVENTS} state-events (events x states)"
+        )
+    tableset = get_tableset(variant, h)
+    mask = accept_mask(tableset.space, grid.terminal_rows_last_col())
     res = run_vector_sweep(grid, tableset, mask, variant.mult_max, trace=trace)
     moves = reconstruct_vector(res, tableset) if trace else None
     return res, moves

@@ -5,15 +5,15 @@ every terminal, connected, with all degrees even, using at most two copies
 of any segment. Feasibility is enforced where it becomes decidable:
 
 * a horizontal step finalizes the departing vertex's degree, so its parity
-  must land on even (or stay zero for a non-terminal);
+  must land on even, or stay zero (the sweep opens a zero-degree terminal);
 * a transition that would strand a component with no frontier vertex is
   rejected outright ("closure"): the rightmost column always contains a
   terminal, so a component cut off before the end can never rejoin the one
   that must survive;
 * a non-terminal whose only incident edges would be the doubled segment
   just added is a useless U-turn and is pruned;
-* the final layer must hold a single component, with even parity on every
-  row and positive (hence even) degree on last-column terminals.
+* the final layer must hold a single component, with no odd row and a
+  label on every last-column terminal row (``tables.accept_mask``).
 
 The optimal subgraph is then oriented into a closed walk by Hierholzer's
 algorithm.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInfeasibleError, NotEulerianError
-from .geometry import HananGrid, Instance, Point, build_grid, l1
+from .geometry import Instance, Point, build_grid, l1
 from .solution import (
     SolutionEdge,
     check_connected_covering,
@@ -52,7 +52,6 @@ class TspSolution:
     subgraph: TourSubgraph | None
     tour: Tour | None
     stats: SweepStats
-    grid: HananGrid | None
 
 
 # --- transitions ----------------------------------------------------------
@@ -77,7 +76,7 @@ def _kernel(space: tables_mod.StateSpace, kind: tables_mod.Kind):
     for the whole state space at once, as ``tables.Kernel`` arrays with
     canonical labels."""
     parity, comp = space.parity_mat, space.comp_mat
-    n, h = comp.shape
+    n = len(comp)
     if kind[0] == "V":
         # segment between rows i and i+1 (1-based): skip, single, or double
         lo = kind[1] - 1
@@ -92,41 +91,22 @@ def _kernel(space: tables_mod.StateSpace, kind: tables_mod.Kind):
 
     # Horizontal: the segment leaves row i's frontier vertex rightward, and
     # that vertex's degree is final after this step. The state is kept with
-    # the edge count that makes the degree final and even, except at a
-    # zero-degree terminal: that must double the edge, which opens a fresh
-    # single-vertex component (degree-2 self-loop shape). A zero-degree
-    # non-terminal never doubles, which would be a useless U-turn. An even
-    # vertex may also skip and leave its component, unless that strands the
-    # component (closure).
+    # the edge count that makes the degree final and even; a zero-degree
+    # vertex never doubles, which would be a useless U-turn (a zero-degree
+    # terminal is opened by the sweep instead). An even vertex may also skip
+    # and leave its component, unless that strands the component (closure).
     r = kind[1] - 1
     p, c = parity[:, r], comp[:, r]
-    blocks = []
-    kept = np.arange(n)
-    if kind[2]:
-        opened = np.flatnonzero(p == ZERO)
-        kept = np.flatnonzero(p != ZERO)
-        after = parity[opened]
-        after[:, r] = EVEN
-        blocks.append((opened, set_label(comp[opened], r, h + 1), after, 2))
     left = np.flatnonzero((p == EVEN) & ((comp == c[:, None]).sum(axis=1) > 1))
     after = parity[left]
     after[:, r] = ZERO
-    blocks.append((left, set_label(comp[left], r, 0), after, 0))
-    blocks.append((kept, comp[kept], parity[kept], _KEEP_MULT[p[kept]]))
-    return tables_mod.stack_candidates(blocks)
+    return tables_mod.stack_candidates([
+        (left, set_label(comp[left], r, 0), after, 0),
+        (np.arange(n), comp, parity, _KEEP_MULT[p]),
+    ])
 
 
-def _accept_mask(space: tables_mod.StateSpace, term_rows) -> np.ndarray:
-    pm = space.parity_mat
-    ok = (pm != ODD).all(axis=1)
-    tr = np.asarray(term_rows, dtype=bool)
-    if tr.any():
-        ok &= (pm[:, tr] == EVEN).all(axis=1)
-    ok &= space.comp_mat.max(axis=1) == 1
-    return ok
-
-
-TSP = tables_mod.Variant("tsp", _kernel, _accept_mask, 2)
+TSP = tables_mod.Variant("tsp", _kernel, 2)
 
 
 # --- solving --------------------------------------------------------------
@@ -143,7 +123,7 @@ def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
     if len(instance.points) == 1:
         return TspSolution(
             0, TourSubgraph((), 0), (instance.points[0],),
-            SweepStats(1, 1, 0, 0.0), None,
+            SweepStats(1, 1, 0, 0.0),
         )
     grid = build_grid(instance)
     res, moves = tables_mod.solve_grid(TSP, grid, trace)
@@ -164,7 +144,7 @@ def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
             raise InternalInfeasibleError(
                 f"oriented walk length {walked} != optimum {length}"
             )
-    return TspSolution(length, subgraph, tour, stats, grid)
+    return TspSolution(length, subgraph, tour, stats)
 
 
 # --- validation and orientation -------------------------------------------

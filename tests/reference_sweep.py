@@ -426,9 +426,7 @@ def solve_tsp_reference(instance: Instance) -> TspSolution:
     subgraph = TourSubgraph(tuple(edges), total_edge_length(edges))
     assert subgraph.total_length == res.cost
     validate_tour_subgraph(subgraph, instance)
-    return TspSolution(
-        res.cost, subgraph, orient_tour(subgraph, instance), res.stats, grid
-    )
+    return TspSolution(res.cost, subgraph, orient_tour(subgraph, instance), res.stats)
 
 
 def solve_steiner_reference(instance: Instance) -> SteinerSolution:
@@ -446,4 +444,4 @@ def solve_steiner_reference(instance: Instance) -> SteinerSolution:
     tree = SteinerTree(tuple(edges), total_edge_length(edges))
     assert tree.total_length == res.cost
     validate_steiner_tree(tree, instance)
-    return SteinerSolution(res.cost, tree, res.stats, grid)
+    return SteinerSolution(res.cost, tree, res.stats)

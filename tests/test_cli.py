@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from rectisolve import tables
 from rectisolve.cli import main
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import parse_instance, write_instance
@@ -221,6 +222,27 @@ def test_state_space_guard_refuses_at_once(tmp_path, capsys, command, points, ex
     assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert "guard" in err
+
+
+@pytest.mark.parametrize(
+    "command, problem, n, h",
+    [("solve-tsp", "tsp", 1200, 9), ("solve-steiner", "steiner", 550, 11)],
+)
+def test_work_guard_refuses_long_rolling_sweeps_at_once(
+    tmp_path, capsys, command, problem, n, h
+):
+    # tsp: 20 391 events x 551 616 states; steiner: 11 539 x 974 427
+    events = 2 * h * n - h - n
+    assert events * count_states(h, problem) > tables.MAX_STATE_EVENTS
+    # the desk-scale edge, steiner n=50 h=11, stays inside the limit
+    assert (2 * 11 * 50 - 61) * count_states(11, "steiner") <= tables.MAX_STATE_EVENTS
+    text = write_instance(gen_instance(n, h, 4 * n, 4 * h, 1))
+    inst = write_instance_file(tmp_path, text)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, command, "--no-trace", "--input", inst)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert "guard" in err and "state-events" in err
 
 
 def test_trace_byte_guard_exits_3(tmp_path, capsys):

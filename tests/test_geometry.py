@@ -27,7 +27,6 @@ class TestParseInstance:
     def test_duplicates_merged(self):
         inst = parse_instance("3\n0 0\n2 1\n0 0\n")
         assert inst.points == (Point(0, 0), Point(2, 1))
-        assert inst.original_count == 3
 
     def test_single_point(self):
         inst = parse_instance("1\n5 7\n")

@@ -1,3 +1,4 @@
+import itertools
 import time
 from collections import defaultdict
 
@@ -17,6 +18,7 @@ from rectisolve.geometry import (
 from rectisolve.states import count_states
 from rectisolve.steiner import solve_steiner
 from rectisolve.tables import (
+    OpenMap,
     TableSet,
     VectorResult,
     get_space,
@@ -137,23 +139,42 @@ def test_nothing_accepted_raises():
 
 
 def kinds(h):
-    return [("V", i) for i in range(1, h)] + [
-        ("H", i, terminal) for i in range(1, h + 1) for terminal in (False, True)
-    ]
+    return [("V", i) for i in range(1, h)] + [("H", i) for i in range(1, h + 1)]
 
 
 TABLE_CASES = [("tsp", h) for h in range(1, 7)] + [("steiner", h) for h in range(1, 9)]
 
 
-def expand_rows(table):
+def expand_rows(table, opened=None):
     """A split table as plain rows, each state's row to itself included,
-    sorted by (dst, src, mult)."""
-    own = np.flatnonzero(table.keep >= 0).astype(np.int32)
-    src = np.concatenate([table.src, own])
-    dst = np.concatenate([table.dst, own])
-    mult = np.concatenate([table.mult, table.keep[own]])
+    sorted by (dst, src, mult); with an open map, as at an event that
+    departs a terminal, its rows replace its sources' rows to themselves."""
+    own = np.arange(len(table.keep), dtype=np.int32)
+    extra = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int8)]
+    if opened is not None:
+        own = np.setdiff1d(own, opened.src).astype(np.int32)
+        extra = [
+            opened.src.astype(np.int32),
+            opened.dst.astype(np.int32),
+            np.full(len(opened.src), opened.mult, dtype=np.int8),
+        ]
+    src = np.concatenate([table.src, own, extra[0]])
+    dst = np.concatenate([table.dst, own, extra[1]])
+    mult = np.concatenate([table.mult, table.keep[own], extra[2]])
     order = np.lexsort((mult, src, dst))
     return src[order], dst[order], mult[order]
+
+
+def assert_rows_match_reference(got, space, reference_kernel, kind):
+    src, dst, mult = reference_table(space, reference_kernel, kind)
+    # a repeated (src, dst) pair keeps only its first, smallest-mult row
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    want = (src[first], dst[first], mult[first])
+    names, dtypes = ("src", "dst", "mult"), (np.int32, np.int32, np.int8)
+    for name, a, b, dtype in zip(names, got, want, dtypes):
+        assert a.dtype == b.dtype == dtype, (kind, name)
+        assert np.array_equal(a, b), (kind, name)
 
 
 @pytest.mark.parametrize("problem, h", TABLE_CASES)
@@ -169,17 +190,25 @@ def test_tables_match_reference_builder(problem, h):
     tableset = TableSet(space, kernel)
     for kind in kinds(h):
         got = tableset.get(kind)
-        assert np.array_equal(got.lost, np.flatnonzero(got.keep < 0)), kind
+        assert got.keep.dtype == np.int8 and len(got.keep) == len(keys), kind
         assert not (got.src == got.dst).any(), kind
-        src, dst, mult = reference_table(space, reference_kernel, kind)
-        # a repeated (src, dst) pair keeps only its first, smallest-mult row
-        first = np.ones(len(src), dtype=bool)
-        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        want = (src[first], dst[first], mult[first])
-        names, dtypes = ("src", "dst", "mult"), (np.int32, np.int32, np.int8)
-        for name, a, b, dtype in zip(names, expand_rows(got), want, dtypes):
-            assert a.dtype == b.dtype == dtype, (kind, name)
-            assert np.array_equal(a, b), (kind, name)
+        # the reference builder's H kinds carry the departing vertex's
+        # terminal flag; the package's table is the non-terminal one, and
+        # its open map turns it into the terminal one
+        plain = kind if kind[0] == "V" else kind + (False,)
+        assert_rows_match_reference(expand_rows(got), space, reference_kernel, plain)
+        if kind[0] == "V":
+            continue
+        row = kind[1]
+        opened = tableset.open_map(row)
+        assert opened.src.dtype == opened.dst.dtype == np.intp
+        assert (np.diff(opened.dst) > 0).all()
+        assert np.array_equal(
+            np.sort(opened.src), np.flatnonzero(space.comp_mat[:, row - 1] == 0)
+        )
+        assert_rows_match_reference(
+            expand_rows(got, opened), space, reference_kernel, ("H", row, True)
+        )
 
 
 def test_non_canonical_kernel_output_raises():
@@ -210,17 +239,28 @@ def test_unchanged_candidates_do_not_hide_a_changed_one():
         TableSet(space, one_doubled).get(("V", 1))
 
 
-def fake_tableset(rows_by_kind):
+NO_OPENS = OpenMap(np.empty(0, np.intp), np.empty(0, np.intp), 0)
+
+
+def fake_tableset(rows_by_kind, opens=NO_OPENS):
     """A TableSet over the five tree states at h=2, (0,0) (1,0) (0,1) (1,1)
     (1,2) in index order, whose kernel emits the given (src, dst, mult)
-    rows for a kind."""
+    rows for a kind, plus a row with multiplicity 0 from each state that
+    they leave without a row to itself, and ``opens`` as the open map of
+    both grid rows."""
     space = get_space("steiner", 2)
 
     def kernel(space, kind):
-        src, dst, mult = np.array(rows_by_kind[kind], dtype=int).reshape(-1, 3).T
+        rows = np.array(rows_by_kind[kind], dtype=int).reshape(-1, 3)
+        stays = rows[rows[:, 0] == rows[:, 1], 0]
+        alone = np.setdiff1d(np.arange(len(space.keys)), stays)
+        pad = np.stack([alone, alone, np.zeros_like(alone)], axis=1)
+        src, dst, mult = np.concatenate([rows, pad]).T
         return src, space.comp_mat[dst], None, mult.astype(np.int8)
 
-    return TableSet(space, kernel)
+    tableset = TableSet(space, kernel)
+    tableset.opens.update({1: opens, 2: opens})
+    return tableset
 
 
 def test_reconstruction_breaks_ties_by_source_then_multiplicity():
@@ -240,21 +280,22 @@ def test_reconstruction_breaks_ties_by_source_then_multiplicity():
     assert np.array_equal(tableset.get("join").src, [1, 2])
     dup = tableset.get("dup")  # each pair is stored once, with multiplicity 1
     assert (dup.src.tolist(), dup.dst.tolist(), dup.mult.tolist()) == ([0], [1], [1])
-    assert dup.keep.tolist() == [-1, -1, -1, 1, -1]
-    assert dup.lost.tolist() == [0, 1, 2, 4]
+    assert dup.keep.tolist() == [0, 0, 0, 1, 0]
     spread, join = EdgeEvent("V", 1, 1, 5), EdgeEvent("V", 1, 2, 5)
     layers = [
         np.array([0, inf, inf, inf, inf]),
         np.array([inf, 10, 5, inf, inf]),
         np.array([inf, inf, inf, 10, inf]),
     ]
-    result = VectorResult(10, 3, layers, [spread, join], ["spread", "join"], None)
+    result = VectorResult(
+        10, 3, layers, [spread, join], ["spread", "join"], [False, False], None
+    )
     # source 1 wins: its path doubles the spread and skips the join
     assert reconstruct_vector(result, tableset) == [(spread, 2)]
 
     double = EdgeEvent("V", 1, 1, 0)
     layers = [np.array([inf, 4, 4, inf, inf]), np.array([inf, inf, inf, 4, inf])]
-    result = VectorResult(4, 3, layers, [double], ["double"], None)
+    result = VectorResult(4, 3, layers, [double], ["double"], [False], None)
     assert reconstruct_vector(result, tableset) == [(double, 1)]
 
     meet = EdgeEvent("V", 1, 1, 5)
@@ -263,7 +304,29 @@ def test_reconstruction_breaks_ties_by_source_then_multiplicity():
         ([inf, 0, 5, 10, inf], [(meet, 2)]),  # all three cost 10: source 1 wins
         ([inf, inf, 5, 10, inf], [(meet, 1)]),  # state 2 itself wins over source 3
     ):
-        result = VectorResult(10, 2, [np.array(before), after], [meet], ["meet"], None)
+        result = VectorResult(
+            10, 2, [np.array(before), after], [meet], ["meet"], [False], None
+        )
+        assert reconstruct_vector(result, tableset) == want
+
+
+def test_reconstruction_tries_the_open_row_in_source_order():
+    # at an event that departs a terminal, state 0 opens into state 1 with
+    # m=1 and has no row to itself; state 1 also keeps itself, and is
+    # reached from source 2 with m=0
+    inf = 2**30
+    opened = OpenMap(np.array([0]), np.array([1]), 1)
+    tableset = fake_tableset({"open": [(2, 1, 0), (3, 0, 0), (0, 0, 1)]}, opened)
+    depart = EdgeEvent("H", 1, 1, 2)
+    for idx, before, after, want in (
+        # all three rows into state 1 cost 5: the open row, from source 0, wins
+        (1, [3, 5, 5, inf, inf], [inf, 5, 5, inf, inf], [(depart, 1)]),
+        # state 0 staying with m=1 would cost 4 like source 3, and come
+        # first, but the terminal forbids it
+        (0, [2, inf, inf, 4, inf], [4, 4, inf, 4, inf], []),
+    ):
+        layers = [np.array(before), np.array(after)]
+        result = VectorResult(5, idx, layers, [depart], ["open"], [True], None)
         assert reconstruct_vector(result, tableset) == want
 
 
@@ -303,11 +366,45 @@ def test_layers_match_reference_sweep(problem):
         assert got.cost == want.cost
 
 
-def test_sweep_raises_when_a_layer_empties():
-    grid = build_grid(make_instance([(0, 0), (3, 1)]))
-    tableset = fake_tableset(defaultdict(list))  # no transitions at all
-    with pytest.raises(InternalInfeasibleError, match="layer emptied"):
-        run_vector_sweep(grid, tableset, np.ones(5, dtype=bool), mult_max=2)
+def test_build_refuses_a_kernel_that_drops_a_state():
+    # every state keeps itself but the last, which a layer could lose
+    def all_but_last(space, kind):
+        n = len(space.keys) - 1
+        return np.arange(n), space.comp_mat[:n], None, np.zeros(n, dtype=np.int8)
+
+    tableset = TableSet(get_space("steiner", 2), all_but_last)
+    shown = r"left state \(1,2\) without a transition to itself for kind \('V', 1\)"
+    with pytest.raises(InternalInfeasibleError, match=shown):
+        tableset.get(("V", 1))
+
+
+def test_open_map_refuses_two_multiplicities():
+    # row 1 opens (0,0) into (1,0) and (0,1) into (1,2), states 1 and 4,
+    # which this kernel keeps at multiplicities 1 and 4
+    def stay_at_index(space, kind):
+        n = len(space.keys)
+        return np.arange(n), space.comp_mat, None, np.arange(n, dtype=np.int8)
+
+    tableset = TableSet(get_space("steiner", 2), stay_at_index)
+    shown = r"opened state \(1,2\) at a second multiplicity for kind \('H', 1\)"
+    with pytest.raises(InternalInfeasibleError, match=shown):
+        tableset.open_map(1)
+
+
+ACCEPT_CASES = [("tsp", h) for h in range(1, 6)] + [("steiner", h) for h in range(1, 7)]
+
+
+@pytest.mark.parametrize("problem, h", ACCEPT_CASES)
+def test_one_acceptance_rule_for_both_problems(problem, h):
+    # the tour rule asks for even parity on last-column terminal rows, the
+    # tree rule for a label there: the same, as a tour row with no odd
+    # parity is ZERO exactly when it has no label
+    space = get_space(problem, h)
+    states = states_from_matrices(space.comp_mat, space.parity_mat)
+    accept = {"tsp": tsp_accept, "steiner": steiner_accept}[problem]
+    for term_rows in itertools.product((False, True), repeat=h):
+        want = [accept(s, term_rows) for s in states]
+        assert tables.accept_mask(space, term_rows).tolist() == want, term_rows
 
 
 def test_sweep_raises_when_no_final_state_is_accepted():
@@ -384,7 +481,7 @@ def test_cost_dtype_switch(problem, mult_max, k_last_int32):
         bound = mult_max * sum(ev.length for ev in edge_schedule(grid))
         assert (bound < 2**29) == (k == k_last_int32)
         tableset = get_tableset(variant, grid.h)
-        mask = variant.accept(tableset.space, grid.terminal_rows_last_col())
+        mask = tables.accept_mask(tableset.space, grid.terminal_rows_last_col())
         res = run_vector_sweep(grid, tableset, mask, mult_max)
         want = np.int32 if k == k_last_int32 else np.int64
         assert all(layer.dtype == want for layer in res.layers)
