@@ -38,6 +38,18 @@ sorted key array. A candidate that is not there is not a canonical state,
 which, like a state left without a transition to itself, is a kernel bug
 and raises InternalInfeasibleError.
 
+Only row 1's tables and open map are built that way; every other row's
+are derived by rotation. Non-crossing partitions of a cycle are closed
+under rotation (Kreweras, "Sur les partitions non croisees d'un cycle",
+Discrete Math. 1972), and a rotation keeps each component's count of odd
+rows. So moving every row of a state up by one, the top row to the
+bottom, and renumbering its labels gives a state again: a permutation rho
+of the state space (``TableSet.rotation``). A segment on row r acts on a
+state as the same segment on row r + 1 acts on its rotation, so row
+r + 1's table is row r's with its sources and destinations mapped through
+rho and re-sorted, and its ``keep`` scattered through rho; an open map's
+pairs map the same way.
+
 Tables depend only on (variant, h), never on segment lengths or column
 positions, so they are cached and shared across instances and runs.
 Costs use int32 when the instance's total-length upper bound allows it.
@@ -61,7 +73,7 @@ import numpy as np
 from .errors import GuardExceeded, InternalInfeasibleError
 from .geometry import EdgeEvent, HananGrid, edge_schedule
 from .states import EVEN, MAX_LABEL, ODD, count_states, enumerate_states, pack_states
-from .states import render_row, set_label, unpack_states
+from .states import relabel_rows, render_row, set_label, unpack_states
 
 Kind = tuple  # ("V", r) or ("H", r), r the 1-based row
 # (space, kind) -> (src, comp, parity, mult): one candidate per entry, with
@@ -163,24 +175,64 @@ class TableSet:
         self.kernel = kernel
         self.tables: dict[Kind, KindTable] = {}
         self.opens: dict[int, OpenMap] = {}
+        self._rho: np.ndarray | None = None
 
     def get(self, kind: Kind) -> KindTable:
         table = self.tables.get(kind)
         if table is None:
-            table = self._build(kind)
+            orient, row = kind
+            if row == 1:
+                table = self._build(kind)
+            else:
+                table = self._rotate(self.get((orient, row - 1)))
             self.tables[kind] = table
         return table
 
     def open_map(self, row: int) -> OpenMap:
         if row not in self.opens:
-            self.opens[row] = self._build_open(row)
+            if row == 1:
+                self.opens[row] = self._build_open(row)
+            else:
+                self.opens[row] = self._rotate_open(self.open_map(row - 1))
         return self.opens[row]
+
+    def rotation(self) -> np.ndarray:
+        """rho: each state's index after its rows move up by one, the top
+        row to the bottom, and its labels are renumbered canonically."""
+        if self._rho is None:
+            space = self.space
+            comp = relabel_rows(np.roll(space.comp_mat, 1, axis=1))
+            parity = None
+            if space.parity_mat is not None:
+                parity = np.roll(space.parity_mat, 1, axis=1)
+            src = np.arange(len(space.keys), dtype=np.int32)
+            what = "rotation by one row gives state {}, which is not in the space"
+            self._rho = self._find(src, comp, parity, what)
+        return self._rho
+
+    def _rotate(self, table: KindTable) -> KindTable:
+        """The table one row up: a row s -> d becomes rho[s] -> rho[d]."""
+        rho = self.rotation()
+        src, dst = rho[table.src], rho[table.dst]
+        # one int64 key per (dst, src) pair, each pair unique; a stable sort
+        # takes the runs that rho keeps in order at a fraction of lexsort's time
+        order = np.argsort(dst.astype(np.int64) * len(rho) + src, kind="stable")
+        keep = np.empty_like(table.keep)
+        keep[rho] = table.keep
+        return KindTable(keep, src[order], dst[order], table.mult[order])
+
+    def _rotate_open(self, opened: OpenMap) -> OpenMap:
+        """The open map one row up: a pair s -> d becomes rho[s] -> rho[d]."""
+        rho = self.rotation()
+        src, dst = rho[opened.src].astype(np.intp), rho[opened.dst].astype(np.intp)
+        order = np.argsort(dst)
+        return OpenMap(src[order], dst[order], opened.mult)
 
     def _build(self, kind: Kind) -> KindTable:
         space = self.space
         src, comp, parity, mult = self.kernel(space, kind)
         src = src.astype(np.int32)
-        dst = self._find(kind, src, comp, parity)
+        dst = self._find(src, comp, parity, _EMITTED + str(kind))
         order = np.lexsort((mult, src, dst))
         src, dst, mult = src[order], dst[order], mult[order]
         # the first row of each (dst, src) run has the smallest multiplicity
@@ -191,8 +243,8 @@ class TableSet:
         keep = mult[own]  # at most one row per state, in state order
         if len(keep) < len(space.keys):
             r = np.setdiff1d(np.arange(len(space.keys)), src[own])[0]
-            what = "left state {} without a transition to itself"
-            raise _fault(kind, what, space.comp_mat, space.parity_mat, r)
+            what = "kernel left state {} without a transition to itself for kind "
+            raise _fault(what + str(kind), space.comp_mat, space.parity_mat, r)
         rows = first & ~stay
         return KindTable(keep, src[rows], dst[rows], mult[rows])
 
@@ -206,18 +258,19 @@ class TableSet:
             parity = parity_mat[src]
             parity[:, r] = EVEN
         kind = ("H", row)
-        dst = self._find(kind, src, comp, parity)
+        dst = self._find(src, comp, parity, _EMITTED + str(kind))
         order = np.argsort(dst)
         src, dst = src[order], dst[order]
         keep = self.get(kind).keep[dst]
         if (keep != keep[0]).any():
             r = dst[keep != keep[0]][0]
-            what = "keeps opened state {} at a second multiplicity"
-            raise _fault(kind, what, comp_mat, parity_mat, r)
+            what = "kernel keeps opened state {} at a second multiplicity for kind "
+            raise _fault(what + str(kind), comp_mat, parity_mat, r)
         return OpenMap(src, dst, int(keep[0]))
 
-    def _find(self, kind: Kind, src, comp, parity) -> np.ndarray:
-        """Each candidate's state index, in src's dtype."""
+    def _find(self, src, comp, parity, what: str) -> np.ndarray:
+        """Each candidate's state index, in src's dtype; a candidate that is
+        not a state raises ``what`` about it."""
         keys = self.space.keys
         # a value outside the packed fields would alias another state's key
         bad = (comp < 0) | (comp > MAX_LABEL)
@@ -225,7 +278,7 @@ class TableSet:
             bad |= (parity < 0) | (parity > 2)
         if bad.any():
             r = np.flatnonzero(bad.any(axis=1))[0]
-            raise _fault(kind, "emitted non-canonical state {}", comp, parity, r)
+            raise _fault(what, comp, parity, r)
         packed = pack_states(comp, parity)
         dst = src.copy()
         moved = np.flatnonzero(packed != keys[src])
@@ -234,16 +287,20 @@ class TableSet:
         missing = keys[found] != packed[moved]
         if missing.any():
             r = moved[missing][0]
-            raise _fault(kind, "emitted non-canonical state {}", comp, parity, r)
+            raise _fault(what, comp, parity, r)
         dst[moved] = found
         return dst
 
 
-def _fault(kind: Kind, what: str, comp, parity, r) -> InternalInfeasibleError:
-    """A kernel fault at the state in row r of comp and parity."""
+_EMITTED = "kernel emitted non-canonical state {} for kind "
+
+
+def _fault(what: str, comp, parity, r) -> InternalInfeasibleError:
+    """A table-build fault ``what``, showing the state in row r of comp and
+    parity at its ``{}``."""
     parity_row = None if parity is None else parity[r].tolist()
     shown = render_row(comp[r].tolist(), parity_row)
-    return InternalInfeasibleError(f"kernel {what.format(shown)} for kind {kind}")
+    return InternalInfeasibleError(what.format(shown))
 
 
 def get_tableset(variant: Variant, h: int) -> TableSet:
@@ -276,6 +333,15 @@ class VectorResult:
     stats: SweepStats
 
 
+def _cost_dtype(grid: HananGrid, mult_max: int) -> type:
+    """The cost dtype: int32 while mult_max times the total segment length
+    (the rows' span in each of v columns, the columns' span on each of h
+    rows), which bounds every cost, is below 2**29, so that inf = 2**30 plus
+    that bound fits; else int64."""
+    total = grid.v * (grid.ys[-1] - grid.ys[0]) + grid.h * (grid.xs[-1] - grid.xs[0])
+    return np.int32 if mult_max * total < 2**29 else np.int64
+
+
 def run_vector_sweep(
     grid: HananGrid,
     tableset: TableSet,
@@ -290,19 +356,9 @@ def run_vector_sweep(
     kinds = [(ev.kind, ev.row) for ev in events]
     departs = [ev.kind == "H" and grid.is_terminal(ev.row, ev.col) for ev in events]
 
-    bound = sum(mult_max * ev.length for ev in events)
-    # 0-d arrays, which a ufunc call takes faster than numpy scalars
-    if bound < 2**29:
-        dtype, inf = np.int32, np.array(2**30, dtype=np.int32)
-    else:
-        dtype, inf = np.int64, np.array(2**62, dtype=np.int64)
-    if trace:
-        trace_bytes = (len(events) + 1) * n * np.dtype(dtype).itemsize
-        if trace_bytes > MAX_TRACE_BYTES:
-            raise GuardExceeded(
-                f"trace of {len(events) + 1} layers of {n} states needs "
-                f"{trace_bytes} bytes, above the limit of {MAX_TRACE_BYTES}"
-            )
+    dtype = _cost_dtype(grid, mult_max)
+    # a 0-d array, which a ufunc call takes faster than a numpy scalar
+    inf = np.array(2**30 if dtype is np.int32 else 2**62, dtype=dtype)
 
     # every layer is a row of one array; rolling mode alternates two rows
     store = np.empty((len(events) + 1 if trace else 2, n), dtype=dtype)
@@ -319,7 +375,7 @@ def run_vector_sweep(
         nxt = store[e if trace else e & 1]
         # a 0-d length of the cost dtype makes the int8 multiplicities'
         # products that dtype; an unreached source gives at most
-        # inf + bound, inside it
+        # inf + the cost bound of _cost_dtype, inside it
         length = np.array(event.length, dtype)
         np.multiply(table.keep, length, out=nxt)
         nxt += cost
@@ -389,7 +445,7 @@ def reconstruct_vector(
                 k = int(opened.dst.searchsorted(idx))
                 if k < len(opened.dst) and opened.dst[k] == idx:
                     rows.append((int(opened.src[k]), opened.mult))
-            elif idx in opened.src:  # it opened instead of staying
+            else:  # every state whose row is empty opens instead of staying
                 rows.pop()
         rows.sort()  # tie order
         if not rows:
@@ -415,11 +471,20 @@ def solve_grid(
     segments and multiplicities of an optimal solution."""
     h = grid.h
     events = 2 * h * grid.v - h - grid.v
-    if events * count_states(h, variant.name) > MAX_STATE_EVENTS:
+    states = count_states(h, variant.name)
+    if events * states > MAX_STATE_EVENTS:
         raise GuardExceeded(
             f"{variant.name} sweep of {events} events at h={h} is above the "
             f"limit of {MAX_STATE_EVENTS} state-events (events x states)"
         )
+    if trace:
+        itemsize = np.dtype(_cost_dtype(grid, variant.mult_max)).itemsize
+        trace_bytes = (events + 1) * states * itemsize
+        if trace_bytes > MAX_TRACE_BYTES:
+            raise GuardExceeded(
+                f"trace of {events + 1} layers of {states} states needs "
+                f"{trace_bytes} bytes, above the limit of {MAX_TRACE_BYTES}"
+            )
     tableset = get_tableset(variant, h)
     mask = accept_mask(tableset.space, grid.terminal_rows_last_col())
     res = run_vector_sweep(grid, tableset, mask, variant.mult_max, trace=trace)

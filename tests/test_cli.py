@@ -254,3 +254,19 @@ def test_trace_byte_guard_exits_3(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert "guard" in err and "bytes" in err
+
+
+def test_trace_byte_guard_refuses_before_enumerating(tmp_path, capsys, monkeypatch):
+    # tsp h=9 over 200 columns: 3 391 events x 551 616 states pass the work
+    # guard, and their 3 392 int32 layers need about 7.5 GB
+    text = write_instance(gen_instance(200, 9, 800, 36, 1))
+    inst = write_instance_file(tmp_path, text)
+
+    def no_space(problem, h):
+        raise AssertionError("the state space was enumerated")
+
+    monkeypatch.setattr(tables, "_TABLES", {})  # no cached tables to hide a call
+    monkeypatch.setattr(tables, "get_space", no_space)
+    code, _, err = run(capsys, "solve-tsp", "--input", inst)
+    assert code == 3
+    assert "guard" in err and "7484325888 bytes" in err

@@ -1,6 +1,5 @@
 import itertools
 import time
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -239,6 +238,62 @@ def test_unchanged_candidates_do_not_hide_a_changed_one():
         TableSet(space, one_doubled).get(("V", 1))
 
 
+KERNELS = {"tsp": tsp._kernel, "steiner": steiner._kernel}
+ROTATION_CASES = [("tsp", h) for h in range(1, 8)] + [
+    ("steiner", h) for h in range(1, 10)
+]
+
+
+@pytest.mark.parametrize("problem, h", ROTATION_CASES)
+def test_rotation_is_a_permutation_of_order_h(problem, h):
+    rho = TableSet(get_space(problem, h), KERNELS[problem]).rotation()
+    assert rho.dtype == np.int32
+    assert np.array_equal(np.sort(rho), np.arange(len(rho)))
+    assert rho[0] == 0  # the all-empty state
+    power = np.arange(len(rho))
+    for _ in range(h):
+        power = rho[power]
+    assert np.array_equal(power, np.arange(len(rho)))
+
+
+@pytest.mark.parametrize("problem, h", [("tsp", 7), ("steiner", 9)])
+def test_derived_tables_match_kernel_builds(problem, h):
+    # the benchmark's sizes; the kernel runs for row 1 alone, and every
+    # other row's table and open map is derived from the row below it
+    space = get_space(problem, h)
+    called = []
+
+    def counted(space, kind):
+        called.append(kind)
+        return KERNELS[problem](space, kind)
+
+    derived, direct = TableSet(space, counted), TableSet(space, KERNELS[problem])
+    for kind in kinds(h):
+        got, want = derived.get(kind), direct._build(kind)
+        for name in ("keep", "src", "dst", "mult"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (kind, name)
+    for row in range(1, h + 1):
+        got, want = derived.open_map(row), direct._build_open(row)
+        for a, b in ((got.src, want.src), (got.dst, want.dst)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), row
+        assert type(got.mult) is int and got.mult == want.mult, row
+    assert called == [("V", 1), ("H", 1)]
+
+
+def test_rotation_refuses_a_space_not_closed_under_it():
+    # without (1,-,-), the rotation of (-,-,1) has nowhere to go
+    space = get_space("steiner", 3)
+    gone = 1
+    assert space.comp_mat[gone].tolist() == [1, 0, 0]
+    keys = np.delete(space.keys, gone)
+    comp = np.delete(space.comp_mat, gone, axis=0)
+    tableset = TableSet(tables.StateSpace(keys, None, comp), steiner._kernel)
+    shown = r"rotation by one row gives state \(1,-,-\), which is not in the space"
+    with pytest.raises(InternalInfeasibleError, match=shown):
+        tableset.rotation()
+
+
 NO_OPENS = OpenMap(np.empty(0, np.intp), np.empty(0, np.intp), 0)
 
 
@@ -247,7 +302,8 @@ def fake_tableset(rows_by_kind, opens=NO_OPENS):
     (1,2) in index order, whose kernel emits the given (src, dst, mult)
     rows for a kind, plus a row with multiplicity 0 from each state that
     they leave without a row to itself, and ``opens`` as the open map of
-    both grid rows."""
+    both grid rows. Every kind's table is kernel-built, none derived by
+    rotation."""
     space = get_space("steiner", 2)
 
     def kernel(space, kind):
@@ -259,6 +315,7 @@ def fake_tableset(rows_by_kind, opens=NO_OPENS):
         return src, space.comp_mat[dst], None, mult.astype(np.int8)
 
     tableset = TableSet(space, kernel)
+    tableset.tables.update({kind: tableset._build(kind) for kind in rows_by_kind})
     tableset.opens.update({1: opens, 2: opens})
     return tableset
 
@@ -409,16 +466,20 @@ def test_one_acceptance_rule_for_both_problems(problem, h):
 
 def test_sweep_raises_when_no_final_state_is_accepted():
     grid = build_grid(make_instance([(0, 0), (3, 1)]))
-    tableset = fake_tableset(defaultdict(lambda: [(0, 0, 0), (0, 1, 1)]))
+    tableset = fake_tableset(dict.fromkeys(kinds(2), [(0, 0, 0), (0, 1, 1)]))
     with pytest.raises(InternalInfeasibleError, match="no accepted state"):
         run_vector_sweep(grid, tableset, np.zeros(5, dtype=bool), mult_max=2)
 
 
 def test_reconstruction_raises_on_a_broken_cost_chain():
     grid = build_grid(make_instance([(0, 0), (3, 1)]))
-    tableset = fake_tableset(defaultdict(lambda: [(0, 0, 0), (0, 1, 1), (1, 1, 0)]))
+    tableset = fake_tableset(dict.fromkeys(kinds(2), [(0, 0, 0), (0, 1, 1), (1, 1, 0)]))
     accept = np.array([False, True, False, False, False])
     result = run_vector_sweep(grid, tableset, accept, mult_max=2)
+    # the fake's open maps are empty, so no state opened at the event that
+    # departs a terminal; reconstruction assumes that every state whose row
+    # is empty did, as every real open map holds them all
+    result.departs = [False] * len(result.events)
     # state 1 is first reached at layer 1, and the tie on the last event
     # goes to source 0
     assert reconstruct_vector(result, tableset) == [(result.events[-1], 1)]
@@ -436,7 +497,7 @@ def test_unreached_sources_leave_exactly_inf(x, dtype, inf):
     # state 4 is reached only from itself, which is never reached: its cost
     # is min(inf, inf + 2 * length) at every event, with no clamp after it
     rows = [(0, 0, 0), (0, 1, 1), (1, 1, 0), (4, 4, 2)]
-    tableset = fake_tableset(defaultdict(lambda: rows))  # the same for every kind
+    tableset = fake_tableset(dict.fromkeys(kinds(2), rows))  # the same for every kind
     grid = build_grid(make_instance([(0, 0), (x, 1)]))
     accept = np.array([False, True, False, False, False])
     res = run_vector_sweep(grid, tableset, accept, mult_max=2)
