@@ -35,6 +35,10 @@ class EmptyInstanceError(InstanceFormatError):
     pass
 
 
+class NonIntegerCoordinateError(InputError):
+    """A coordinate handed to ``make_instance`` is not an integer."""
+
+
 class GuardExceeded(RuntimeError):
     """A size/complexity guard refused the request before any allocation."""
 

@@ -12,7 +12,7 @@ platforms and Python versions.
 from __future__ import annotations
 
 from .errors import InputError
-from .geometry import Instance, make_instance
+from .geometry import Instance, check_grid_size, make_instance
 
 _MASK64 = (1 << 64) - 1
 
@@ -44,13 +44,15 @@ def _distinct_draws(rng: SplitMix64, count: int, upper: int) -> list[int]:
 
 
 def gen_instance(n: int, h: int, xmax: int, ymax: int, seed: int) -> Instance:
-    """Random instance with exactly h distinct rows and n distinct columns."""
+    """Random instance with exactly h distinct rows and n distinct columns;
+    one whose n x h grid no solver accepts is refused before any draw."""
     if not 1 <= h <= n:
         raise InputError(f"need 1 <= h <= n, got h={h} n={n}")
     if xmax < n:
         raise InputError(f"xmax must be >= n for {n} distinct x values")
     if ymax < h:
         raise InputError(f"ymax must be >= h for {h} distinct y values")
+    check_grid_size(h, n)
     rng = SplitMix64(seed)
     ys = _distinct_draws(rng, h, ymax)
     xs = _distinct_draws(rng, n, xmax)

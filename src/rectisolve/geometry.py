@@ -9,6 +9,7 @@ coordinates.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -19,6 +20,7 @@ from .errors import (
     EmptyInstanceError,
     GuardExceeded,
     MalformedLineError,
+    NonIntegerCoordinateError,
 )
 
 COORD_LIMIT = 2**31  # keeps every tour length inside a 63-bit accumulator
@@ -49,11 +51,18 @@ class Instance:
 
 
 def make_instance(coords: Iterable[tuple[int, int]]) -> Instance:
-    """Build an Instance from raw (x, y) pairs, dropping repeats."""
+    """Build an Instance from raw (x, y) pairs of integers (numpy integers
+    too), dropping repeats."""
     seen: dict[Point, None] = {}
     for x, y in coords:
-        _check_coord(x, y, line=None)
-        seen.setdefault(Point(int(x), int(y)))
+        try:
+            point = Point(operator.index(x), operator.index(y))
+        except TypeError:
+            raise NonIntegerCoordinateError(
+                f"coordinate is not an integer: ({x!r}, {y!r})"
+            ) from None
+        _check_coord(*point, line=None)
+        seen.setdefault(point)
     return Instance(points=tuple(seen))
 
 
@@ -179,6 +188,14 @@ class HananGrid:
         return tuple(self.terminal[i][self.v - 1] for i in range(self.h))
 
 
+def check_grid_size(h: int, v: int):
+    """Raise GuardExceeded for a grid of more than MAX_GRID_VERTICES."""
+    if h * v > MAX_GRID_VERTICES:
+        raise GuardExceeded(
+            f"grid would have {h * v} vertices (limit {MAX_GRID_VERTICES})"
+        )
+
+
 def build_grid(instance: Instance) -> HananGrid:
     """Construct the normalized Hanan grid of an instance. Raises
     GuardExceeded when it would have more than MAX_GRID_VERTICES vertices."""
@@ -191,10 +208,7 @@ def build_grid(instance: Instance) -> HananGrid:
     else:
         pts = [(p.x, p.y) for p in instance.points]
     h, v = len(ys), len(xs)
-    if h * v > MAX_GRID_VERTICES:
-        raise GuardExceeded(
-            f"grid would have {h * v} vertices (limit {MAX_GRID_VERTICES})"
-        )
+    check_grid_size(h, v)
     col_of = {x: j for j, x in enumerate(xs)}
     row_of = {y: i for i, y in enumerate(ys)}
     mask = [[False] * v for _ in range(h)]

@@ -25,9 +25,10 @@ smallest (predecessor key, multiplicity) pair.
 
 Terminals are handled here alone. At a horizontal event that departs a
 terminal, a state whose row is empty may not stay: it opens a fresh
-single-row component there (``OpenMap``), at the multiplicity its opened
-state keeps itself at. The final layer accepts one component with a label
-on every last-column terminal row and, for tours, no odd row.
+single-row component there, at the multiplicity its opened state keeps
+itself at. The row's open table, kind ("O", r), holds these moves as
+moving rows with no ``keep``. The final layer accepts one component with a
+label on every last-column terminal row and, for tours, no odd row.
 
 A table is built with numpy over the whole space at once. The solver's
 kernel maps every state to its candidate successors, as arrays of source
@@ -38,8 +39,8 @@ sorted key array. A candidate that is not there is not a canonical state,
 which, like a state left without a transition to itself, is a kernel bug
 and raises InternalInfeasibleError.
 
-Only row 1's tables and open map are built that way; every other row's
-are derived by rotation. Non-crossing partitions of a cycle are closed
+Only row 1's tables are built that way; every other row's are derived
+by rotation. Non-crossing partitions of a cycle are closed
 under rotation (Kreweras, "Sur les partitions non croisees d'un cycle",
 Discrete Math. 1972), and a rotation keeps each component's count of odd
 rows. So moving every row of a state up by one, the top row to the
@@ -47,11 +48,11 @@ bottom, and renumbering its labels gives a state again: a permutation rho
 of the state space (``TableSet.rotation``). A segment on row r acts on a
 state as the same segment on row r + 1 acts on its rotation, so row
 r + 1's table is row r's with its sources and destinations mapped through
-rho and re-sorted, and its ``keep`` scattered through rho; an open map's
-pairs map the same way.
+rho and re-sorted, and its ``keep``, if it has one, scattered through rho.
 
 Tables depend only on (variant, h), never on segment lengths or column
-positions, so they are cached and shared across instances and runs.
+positions, so they are cached with their state space, one ``TableSet`` per
+(variant, h), and shared across instances and runs.
 Costs use int32 when the instance's total-length upper bound allows it.
 Trace mode keeps every layer for path reconstruction, as the rows of one
 preallocated array of up to MAX_TRACE_BYTES; rolling mode keeps two rows
@@ -75,7 +76,7 @@ from .geometry import EdgeEvent, HananGrid, edge_schedule
 from .states import EVEN, MAX_LABEL, ODD, count_states, enumerate_states, pack_states
 from .states import relabel_rows, render_row, set_label, unpack_states
 
-Kind = tuple  # ("V", r) or ("H", r), r the 1-based row
+Kind = tuple  # ("V", r), ("H", r) or ("O", r), r the 1-based row
 # (space, kind) -> (src, comp, parity, mult): one candidate per entry, with
 # its (M, h) labels and parities (None for the tree variant) and its int8
 # multiplicity.
@@ -128,73 +129,53 @@ MAX_TRACE_BYTES = 4 << 30
 # state-events than this (60-90 s) is refused before enumerating states.
 MAX_STATE_EVENTS = 10**10
 
-_SPACES: dict[tuple[str, int], StateSpace] = {}
 _TABLES: dict[tuple[str, int], "TableSet"] = {}
 
 
 def get_space(problem: str, h: int) -> StateSpace:
-    cached = _SPACES.get((problem, h))
-    if cached is not None:
-        return cached
+    """The enumerated state space; ``get_tableset`` caches it with its
+    tables."""
     keys = enumerate_states(h, problem)
     comp_mat, parity_mat = unpack_states(keys, h, problem)
-    space = StateSpace(keys, parity_mat, comp_mat)
-    _SPACES[(problem, h)] = space
-    return space
+    return StateSpace(keys, parity_mat, comp_mat)
 
 
 @dataclass
 class KindTable:
     """A state's transition to itself as one dense entry, and every other
     transition as one row, rows sorted by (dst, src, mult). One (src, dst)
-    pair has at most one row, the one with the smallest multiplicity."""
+    pair has at most one row, the one with the smallest multiplicity.
 
-    keep: np.ndarray  # int8 per state: the multiplicity to itself
+    An open table ("O", r) has no ``keep``: its rows send each state whose
+    row r is empty to its opened state, in place of staying."""
+
+    keep: np.ndarray | None  # int8 per state: the multiplicity to itself
     src: np.ndarray  # int32 source state index
     dst: np.ndarray  # int32 destination state index, src != dst
     mult: np.ndarray  # int8 edges the segment gets (0, 1 or 2)
 
 
-@dataclass
-class OpenMap:
-    """Where a horizontal event that departs a terminal sends each state
-    whose row is empty, in place of its transition to itself: to its opened
-    state, with a fresh single-row component on that row."""
-
-    src: np.ndarray  # intp: the states whose row is empty
-    dst: np.ndarray  # intp: their opened states, ascending
-    mult: int  # the multiplicity every opened state keeps itself at
-
-
 class TableSet:
-    """Lazily built per-kind transition tables and per-row open maps for
-    one (variant, h)."""
+    """Lazily built per-kind transition tables for one (variant, h)."""
 
     def __init__(self, space: StateSpace, kernel: Kernel):
         self.space = space
         self.kernel = kernel
         self.tables: dict[Kind, KindTable] = {}
-        self.opens: dict[int, OpenMap] = {}
         self._rho: np.ndarray | None = None
 
     def get(self, kind: Kind) -> KindTable:
         table = self.tables.get(kind)
         if table is None:
             orient, row = kind
-            if row == 1:
-                table = self._build(kind)
-            else:
+            if row > 1:
                 table = self._rotate(self.get((orient, row - 1)))
+            elif orient == "O":
+                table = self._build_open(row)
+            else:
+                table = self._build(kind)
             self.tables[kind] = table
         return table
-
-    def open_map(self, row: int) -> OpenMap:
-        if row not in self.opens:
-            if row == 1:
-                self.opens[row] = self._build_open(row)
-            else:
-                self.opens[row] = self._rotate_open(self.open_map(row - 1))
-        return self.opens[row]
 
     def rotation(self) -> np.ndarray:
         """rho: each state's index after its rows move up by one, the top
@@ -217,16 +198,11 @@ class TableSet:
         # one int64 key per (dst, src) pair, each pair unique; a stable sort
         # takes the runs that rho keeps in order at a fraction of lexsort's time
         order = np.argsort(dst.astype(np.int64) * len(rho) + src, kind="stable")
-        keep = np.empty_like(table.keep)
-        keep[rho] = table.keep
+        keep = None
+        if table.keep is not None:
+            keep = np.empty_like(table.keep)
+            keep[rho] = table.keep
         return KindTable(keep, src[order], dst[order], table.mult[order])
-
-    def _rotate_open(self, opened: OpenMap) -> OpenMap:
-        """The open map one row up: a pair s -> d becomes rho[s] -> rho[d]."""
-        rho = self.rotation()
-        src, dst = rho[opened.src].astype(np.intp), rho[opened.dst].astype(np.intp)
-        order = np.argsort(dst)
-        return OpenMap(src[order], dst[order], opened.mult)
 
     def _build(self, kind: Kind) -> KindTable:
         space = self.space
@@ -248,10 +224,13 @@ class TableSet:
         rows = first & ~stay
         return KindTable(keep, src[rows], dst[rows], mult[rows])
 
-    def _build_open(self, row: int) -> OpenMap:
+    def _build_open(self, row: int) -> KindTable:
+        """The open table ("O", row): each state whose row is empty to its
+        opened state, at the multiplicity the opened state keeps itself at
+        in the ("H", row) table."""
         comp_mat, parity_mat = self.space.comp_mat, self.space.parity_mat
         r = row - 1
-        src = np.flatnonzero(comp_mat[:, r] == 0)
+        src = np.flatnonzero(comp_mat[:, r] == 0).astype(np.int32)
         comp = set_label(comp_mat[src], r, comp_mat.shape[1] + 1)
         parity = None
         if parity_mat is not None:
@@ -259,14 +238,9 @@ class TableSet:
             parity[:, r] = EVEN
         kind = ("H", row)
         dst = self._find(src, comp, parity, _EMITTED + str(kind))
-        order = np.argsort(dst)
+        order = np.argsort(dst)  # one state opens into each opened state
         src, dst = src[order], dst[order]
-        keep = self.get(kind).keep[dst]
-        if (keep != keep[0]).any():
-            r = dst[keep != keep[0]][0]
-            what = "kernel keeps opened state {} at a second multiplicity for kind "
-            raise _fault(what + str(kind), comp_mat, parity_mat, r)
-        return OpenMap(src, dst, int(keep[0]))
+        return KindTable(None, src, dst, self.get(kind).keep[dst])
 
     def _find(self, src, comp, parity, what: str) -> np.ndarray:
         """Each candidate's state index, in src's dtype; a candidate that is
@@ -383,8 +357,10 @@ def run_vector_sweep(
         # each reached state expands to itself, or to its opened state
         expansions += reached
         if opens:
-            opened = tableset.open_map(event.row)
-            np.minimum.at(nxt, opened.dst, cost[opened.src] + opened.mult * length)
+            opened = tableset.get(("O", event.row))
+            # take, as fancy indexing converts int32 indices to intp first
+            gained = cost.take(opened.src) + opened.mult * length
+            np.minimum.at(nxt, opened.dst, gained)
             nxt[opened.src] = inf
         rows = len(table.src)
         if rows > len(cand):
@@ -433,20 +409,19 @@ def reconstruct_vector(
     for l in range(len(result.events), 0, -1):
         event = result.events[l - 1]
         table = tableset.get(result.kinds[l - 1])
+        searched = [table]
+        rows = [(idx, int(table.keep[idx]))]
+        if result.departs[l - 1]:
+            if tableset.space.comp_mat[idx, event.row - 1]:
+                # only a state with a labeled row can have been opened
+                searched.append(tableset.get(("O", event.row)))
+            else:  # every state whose row is empty opens instead of staying
+                rows.clear()
         # int32 keys, as int64 ones would make searchsorted cast all of dst
         keys = np.array((idx, idx + 1), dtype=np.int32)
-        a, b = table.dst.searchsorted(keys).tolist()
-        rows = list(zip(table.src[a:b].tolist(), table.mult[a:b].tolist()))
-        rows.append((idx, int(table.keep[idx])))
-        if result.departs[l - 1]:
-            opened = tableset.open_map(event.row)
-            if tableset.space.comp_mat[idx, event.row - 1]:
-                # a labeled row may have been opened from an empty one
-                k = int(opened.dst.searchsorted(idx))
-                if k < len(opened.dst) and opened.dst[k] == idx:
-                    rows.append((int(opened.src[k]), opened.mult))
-            else:  # every state whose row is empty opens instead of staying
-                rows.pop()
+        for t in searched:
+            a, b = t.dst.searchsorted(keys).tolist()
+            rows += zip(t.src[a:b].tolist(), t.mult[a:b].tolist())
         rows.sort()  # tie order
         if not rows:
             raise InternalInfeasibleError(f"no transitions into state at layer {l}")

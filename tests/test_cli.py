@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from rectisolve import tables
+from rectisolve import geometry, tables
 from rectisolve.cli import main
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import parse_instance, write_instance
@@ -99,6 +99,20 @@ def test_gen_deterministic(tmp_path, capsys):
     assert code == code2 == 0
     assert out1 == out2
     assert out1.splitlines()[0] == "20"
+
+
+def test_gen_guard_refuses_at_once(capsys, monkeypatch):
+    # 1 000 000 columns over 11 rows: a grid past the 10**7 vertices that
+    # every solve refuses, so it is refused before any point is drawn
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "gen", "--n", "1000000", "--h", "11", "--seed", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "guard" in err and "11000000 vertices" in err
+    # the limit itself is allowed
+    monkeypatch.setattr(geometry, "MAX_GRID_VERTICES", 12)
+    assert run(capsys, "gen", "--n", "4", "--h", "3", "--seed", "1")[0] == 0
+    assert run(capsys, "gen", "--n", "13", "--h", "1", "--seed", "1")[0] == 3
 
 
 def test_gen_solve_pipeline(tmp_path, capsys):

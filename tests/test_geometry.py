@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from rectisolve.errors import (
@@ -8,6 +10,7 @@ from rectisolve.errors import (
     EmptyInstanceError,
     GuardExceeded,
     MalformedLineError,
+    NonIntegerCoordinateError,
 )
 from rectisolve.geometry import (
     COORD_LIMIT,
@@ -77,6 +80,28 @@ class TestParseInstance:
     def test_roundtrip(self):
         inst = make_instance([(3, -1), (0, 9), (12, 12)])
         assert parse_instance(write_instance(inst)) == inst
+
+
+class TestMakeInstance:
+    def test_numpy_integers_accepted(self):
+        inst = make_instance([(np.int64(3), np.int32(-1)), (np.int8(0), 9)])
+        assert inst.points == (Point(3, -1), Point(0, 9))
+        assert all(type(c) is int for p in inst.points for c in p)
+
+    @pytest.mark.parametrize(
+        "coords, shown",
+        [
+            ([(0.5, 0), (1.7, 0), (2.9, 1.2)], "0.5"),
+            ([(0, 0), (1, math.nan)], "nan"),
+            ([(0, 0), (2.0, 1)], "2.0"),  # an integral float is not an integer
+            ([(np.float64(3), 1)], "3.0"),
+            ([("4", 1)], "'4'"),
+        ],
+    )
+    def test_non_integer_coordinate_refused(self, coords, shown):
+        with pytest.raises(NonIntegerCoordinateError, match="not an integer") as err:
+            make_instance(coords)
+        assert shown in str(err.value)
 
 
 class TestBuildGrid:

@@ -17,7 +17,7 @@ from rectisolve.geometry import (
 from rectisolve.states import count_states
 from rectisolve.steiner import solve_steiner
 from rectisolve.tables import (
-    OpenMap,
+    KindTable,
     TableSet,
     VectorResult,
     get_space,
@@ -146,20 +146,15 @@ TABLE_CASES = [("tsp", h) for h in range(1, 7)] + [("steiner", h) for h in range
 
 def expand_rows(table, opened=None):
     """A split table as plain rows, each state's row to itself included,
-    sorted by (dst, src, mult); with an open map, as at an event that
+    sorted by (dst, src, mult); with an open table, as at an event that
     departs a terminal, its rows replace its sources' rows to themselves."""
     own = np.arange(len(table.keep), dtype=np.int32)
-    extra = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int8)]
+    parts = [(table.src, table.dst, table.mult)]
     if opened is not None:
         own = np.setdiff1d(own, opened.src).astype(np.int32)
-        extra = [
-            opened.src.astype(np.int32),
-            opened.dst.astype(np.int32),
-            np.full(len(opened.src), opened.mult, dtype=np.int8),
-        ]
-    src = np.concatenate([table.src, own, extra[0]])
-    dst = np.concatenate([table.dst, own, extra[1]])
-    mult = np.concatenate([table.mult, table.keep[own], extra[2]])
+        parts.append((opened.src, opened.dst, opened.mult))
+    parts.append((own, own, table.keep[own]))
+    src, dst, mult = (np.concatenate(arrays) for arrays in zip(*parts))
     order = np.lexsort((mult, src, dst))
     return src[order], dst[order], mult[order]
 
@@ -193,14 +188,16 @@ def test_tables_match_reference_builder(problem, h):
         assert not (got.src == got.dst).any(), kind
         # the reference builder's H kinds carry the departing vertex's
         # terminal flag; the package's table is the non-terminal one, and
-        # its open map turns it into the terminal one
+        # its open table turns it into the terminal one
         plain = kind if kind[0] == "V" else kind + (False,)
         assert_rows_match_reference(expand_rows(got), space, reference_kernel, plain)
         if kind[0] == "V":
             continue
         row = kind[1]
-        opened = tableset.open_map(row)
-        assert opened.src.dtype == opened.dst.dtype == np.intp
+        opened = tableset.get(("O", row))
+        assert opened.keep is None
+        assert opened.src.dtype == opened.dst.dtype == np.int32
+        assert opened.mult.dtype == np.int8
         assert (np.diff(opened.dst) > 0).all()
         assert np.array_equal(
             np.sort(opened.src), np.flatnonzero(space.comp_mat[:, row - 1] == 0)
@@ -259,7 +256,7 @@ def test_rotation_is_a_permutation_of_order_h(problem, h):
 @pytest.mark.parametrize("problem, h", [("tsp", 7), ("steiner", 9)])
 def test_derived_tables_match_kernel_builds(problem, h):
     # the benchmark's sizes; the kernel runs for row 1 alone, and every
-    # other row's table and open map is derived from the row below it
+    # other row's table and open table is derived from the row below it
     space = get_space(problem, h)
     called = []
 
@@ -268,16 +265,14 @@ def test_derived_tables_match_kernel_builds(problem, h):
         return KERNELS[problem](space, kind)
 
     derived, direct = TableSet(space, counted), TableSet(space, KERNELS[problem])
-    for kind in kinds(h):
-        got, want = derived.get(kind), direct._build(kind)
+    for kind in kinds(h) + [("O", row) for row in range(1, h + 1)]:
+        got = derived.get(kind)
+        want = direct._build_open(kind[1]) if kind[0] == "O" else direct._build(kind)
+        assert (got.keep is None) == (want.keep is None) == (kind[0] == "O"), kind
         for name in ("keep", "src", "dst", "mult"):
             a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (kind, name)
-    for row in range(1, h + 1):
-        got, want = derived.open_map(row), direct._build_open(row)
-        for a, b in ((got.src, want.src), (got.dst, want.dst)):
-            assert a.dtype == b.dtype and np.array_equal(a, b), row
-        assert type(got.mult) is int and got.mult == want.mult, row
+            if a is not None:
+                assert a.dtype == b.dtype and np.array_equal(a, b), (kind, name)
     assert called == [("V", 1), ("H", 1)]
 
 
@@ -294,14 +289,20 @@ def test_rotation_refuses_a_space_not_closed_under_it():
         tableset.rotation()
 
 
-NO_OPENS = OpenMap(np.empty(0, np.intp), np.empty(0, np.intp), 0)
+def open_table(src, dst, mult):
+    return KindTable(
+        None, np.array(src, np.int32), np.array(dst, np.int32), np.array(mult, np.int8)
+    )
+
+
+NO_OPENS = open_table([], [], [])
 
 
 def fake_tableset(rows_by_kind, opens=NO_OPENS):
     """A TableSet over the five tree states at h=2, (0,0) (1,0) (0,1) (1,1)
     (1,2) in index order, whose kernel emits the given (src, dst, mult)
     rows for a kind, plus a row with multiplicity 0 from each state that
-    they leave without a row to itself, and ``opens`` as the open map of
+    they leave without a row to itself, and ``opens`` as the open table of
     both grid rows. Every kind's table is kernel-built, none derived by
     rotation."""
     space = get_space("steiner", 2)
@@ -316,7 +317,7 @@ def fake_tableset(rows_by_kind, opens=NO_OPENS):
 
     tableset = TableSet(space, kernel)
     tableset.tables.update({kind: tableset._build(kind) for kind in rows_by_kind})
-    tableset.opens.update({1: opens, 2: opens})
+    tableset.tables.update({("O", 1): opens, ("O", 2): opens})
     return tableset
 
 
@@ -372,7 +373,7 @@ def test_reconstruction_tries_the_open_row_in_source_order():
     # m=1 and has no row to itself; state 1 also keeps itself, and is
     # reached from source 2 with m=0
     inf = 2**30
-    opened = OpenMap(np.array([0]), np.array([1]), 1)
+    opened = open_table([0], [1], [1])
     tableset = fake_tableset({"open": [(2, 1, 0), (3, 0, 0), (0, 0, 1)]}, opened)
     depart = EdgeEvent("H", 1, 1, 2)
     for idx, before, after, want in (
@@ -423,6 +424,25 @@ def test_layers_match_reference_sweep(problem):
         assert got.cost == want.cost
 
 
+@pytest.mark.parametrize("problem", ["tsp", "steiner"])
+def test_total_expansions_counts_reached_states_and_moving_rows(problem):
+    # per event: each state reached in the previous layer expands once, to
+    # itself or to its opened state, and each moving row whose source was
+    # reached once more; the open rows are not counted on top
+    variant = REFERENCE_SWEEPS[problem][0]
+    for seed in range(4):
+        inst = gen_instance(6 + seed, 2 + seed, 40, 16, 900 + seed)
+        grid = build_grid(inst)
+        res, _ = tables.solve_grid(variant, grid, trace=True)
+        tableset = get_tableset(variant, grid.h)
+        want = 0
+        for prev, kind in zip(res.layers, res.kinds):
+            reached = prev < (2**30 if prev.dtype == np.int32 else 2**62)
+            want += np.count_nonzero(reached)
+            want += np.count_nonzero(reached[tableset.get(kind).src])
+        assert any(res.departs) and res.stats.total_expansions == want
+
+
 def test_build_refuses_a_kernel_that_drops_a_state():
     # every state keeps itself but the last, which a layer could lose
     def all_but_last(space, kind):
@@ -433,19 +453,6 @@ def test_build_refuses_a_kernel_that_drops_a_state():
     shown = r"left state \(1,2\) without a transition to itself for kind \('V', 1\)"
     with pytest.raises(InternalInfeasibleError, match=shown):
         tableset.get(("V", 1))
-
-
-def test_open_map_refuses_two_multiplicities():
-    # row 1 opens (0,0) into (1,0) and (0,1) into (1,2), states 1 and 4,
-    # which this kernel keeps at multiplicities 1 and 4
-    def stay_at_index(space, kind):
-        n = len(space.keys)
-        return np.arange(n), space.comp_mat, None, np.arange(n, dtype=np.int8)
-
-    tableset = TableSet(get_space("steiner", 2), stay_at_index)
-    shown = r"opened state \(1,2\) at a second multiplicity for kind \('H', 1\)"
-    with pytest.raises(InternalInfeasibleError, match=shown):
-        tableset.open_map(1)
 
 
 ACCEPT_CASES = [("tsp", h) for h in range(1, 6)] + [("steiner", h) for h in range(1, 7)]
@@ -476,9 +483,9 @@ def test_reconstruction_raises_on_a_broken_cost_chain():
     tableset = fake_tableset(dict.fromkeys(kinds(2), [(0, 0, 0), (0, 1, 1), (1, 1, 0)]))
     accept = np.array([False, True, False, False, False])
     result = run_vector_sweep(grid, tableset, accept, mult_max=2)
-    # the fake's open maps are empty, so no state opened at the event that
+    # the fake's open tables are empty, so no state opened at the event that
     # departs a terminal; reconstruction assumes that every state whose row
-    # is empty did, as every real open map holds them all
+    # is empty did, as every real open table holds them all
     result.departs = [False] * len(result.events)
     # state 1 is first reached at layer 1, and the tie on the last event
     # goes to source 0

@@ -21,7 +21,6 @@ POINTS = [(0, 0), (3, 0), (1, 2), (4, 2), (2, 5), (5, 5)]
 @pytest.mark.parametrize("solver", ["tsp", "steiner"])
 def test_tracer_sees_every_layer(monkeypatch, solver):
     # empty caches, so the set-up spans fire whatever ran before
-    monkeypatch.setattr(tables, "_SPACES", {})
     monkeypatch.setattr(tables, "_TABLES", {})
     tracer = spans.Tracer()
     tracer.install(rectisolve)
@@ -38,3 +37,28 @@ def test_tracer_sees_every_layer(monkeypatch, solver):
     want |= {"tables.sweep", spans.TABLE_BUILD}
     seen = {span[0] for span in tracer.spans}
     assert want <= seen, sorted(want - seen)
+
+
+def held_bytes(records) -> int:
+    """The bytes of every array held by the records in a dict."""
+    arrays = [v for record in records.values() for v in vars(record).values()]
+    return sum(getattr(v, "nbytes", 0) for v in arrays)
+
+
+@pytest.mark.parametrize("solver", ["tsp", "steiner"])
+def test_tracer_counts_every_table_the_set_holds(monkeypatch, solver):
+    # a cold traced solve builds every table it uses through TableSet.get,
+    # open tables included, so the tracer's counts cover the whole set
+    monkeypatch.setattr(tables, "_TABLES", {})
+    tracer = spans.Tracer()
+    tracer.install(rectisolve)
+    try:
+        getattr(rectisolve, f"solve_{solver}")(make_instance(POINTS), trace=True)
+    finally:
+        tracer.restore()
+    (tableset,) = tables._TABLES.values()
+    counts = tracer.counts["setup"]
+    assert counts["tables.builds"] == len(tableset.tables)
+    held = sum(held_bytes(d) for d in vars(tableset).values() if isinstance(d, dict))
+    assert counts["tables.table_bytes"] == held
+    assert ("O", 3) in tableset.tables  # a terminal departs on every row
