@@ -22,20 +22,15 @@ from .geometry import (
 from .render import render_svg
 from .solution import (
     SolutionEdge,
+    Subgraph,
     format_solution,
     parse_solution,
     resolve_edges,
 )
 from .states import count_states, enumerate_states, render_row, unpack_states
-from .steiner import SteinerSolution, SteinerTree, solve_steiner
+from .steiner import SteinerSolution, solve_steiner
 from .tables import SweepStats
-from .tsp import (
-    TourSubgraph,
-    TspSolution,
-    orient_tour,
-    solve_tsp,
-    validate_tour_subgraph,
-)
+from .tsp import TspSolution, orient_tour, solve_tsp, validate_tour_subgraph
 
 __version__ = "0.1.0"
 
@@ -47,9 +42,8 @@ __all__ = [
     "SolutionEdge",
     "SplitMix64",
     "SteinerSolution",
-    "SteinerTree",
+    "Subgraph",
     "SweepStats",
-    "TourSubgraph",
     "TspSolution",
     "build_grid",
     "count_states",

@@ -45,46 +45,33 @@ def _print_stats(stats):
     )
 
 
-def _check_solver_flags(args):
-    """--output and --svg write the reconstructed solution, which rolling
-    mode does not make; refuse them there rather than write nothing."""
+def _cmd_solve(args) -> int:
+    # --output and --svg write the reconstructed solution, which rolling
+    # mode does not make; refuse them there rather than write nothing
     if args.no_trace:
         for flag, value in (("--output", args.output), ("--svg", args.svg)):
             if value:
                 raise InputError(
                     f"{flag} needs a solution, which --no-trace does not make"
                 )
-
-
-def _cmd_solve_tsp(args) -> int:
-    _check_solver_flags(args)
     instance = _load_instance(args)
-    sol = solve_tsp(instance, trace=not args.no_trace)
+    trace = not args.no_trace
+    if args.problem == "tsp":
+        sol = solve_tsp(instance, trace=trace)
+        sub, tour = sol.subgraph, sol.tour
+    else:
+        sol = solve_steiner(instance, trace=trace)
+        sub, tour = sol.tree, None
     print(f"length {sol.length}")
-    if sol.tour is not None:
-        print("tour " + " ".join(f"({p.x},{p.y})" for p in sol.tour))
+    if tour is not None:
+        print("tour " + " ".join(f"({p.x},{p.y})" for p in tour))
     _print_stats(sol.stats)
-    if sol.subgraph is not None:
-        text = format_solution(list(sol.subgraph.edges), sol.length)
+    if sub is not None:
+        edges = list(sub.edges)
         if args.output:
-            _write_text(args.output, text)
+            _write_text(args.output, format_solution(edges, sol.length))
         if args.svg:
-            _write_text(args.svg, render_svg(instance, list(sol.subgraph.edges)))
-    return 0
-
-
-def _cmd_solve_steiner(args) -> int:
-    _check_solver_flags(args)
-    instance = _load_instance(args)
-    sol = solve_steiner(instance, trace=not args.no_trace)
-    print(f"length {sol.length}")
-    _print_stats(sol.stats)
-    if sol.tree is not None:
-        text = format_solution(list(sol.tree.edges), sol.length)
-        if args.output:
-            _write_text(args.output, text)
-        if args.svg:
-            _write_text(args.svg, render_svg(instance, list(sol.tree.edges)))
+            _write_text(args.svg, render_svg(instance, edges))
     return 0
 
 
@@ -150,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-tsp", help="exact minimum rectilinear tour")
     _add_solver_flags(p)
-    p.set_defaults(fn=_cmd_solve_tsp)
+    p.set_defaults(fn=_cmd_solve, problem="tsp")
 
     p = sub.add_parser("solve-steiner", help="exact minimum rectilinear Steiner tree")
     _add_solver_flags(p)
-    p.set_defaults(fn=_cmd_solve_steiner)
+    p.set_defaults(fn=_cmd_solve, problem="steiner")
 
     p = sub.add_parser("states", help="enumerate all frontier states for h rows")
     p.add_argument("--problem", required=True, choices=["tsp", "steiner"])

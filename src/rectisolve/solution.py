@@ -1,5 +1,7 @@
-"""Solution edge lists: mapping sweep moves back to original coordinates,
-the text serialization, and small graph helpers shared by both solvers.
+"""The solution layer shared by both solvers: the ``Subgraph`` record,
+the mapping of sweep moves back to original coordinates, the text
+serialization, and ``check_subgraph``, the invariants every tour subgraph
+and every Steiner tree must hold.
 
 Edges are expressed in the original (untransposed) orientation: "V i j"
 spans rows i..i+1 of column j, "H i j" spans columns j..j+1 of row i, both
@@ -8,6 +10,8 @@ spans rows i..i+1 of column j, "H i j" spans columns j..j+1 of row i, both
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InputError, InternalInfeasibleError
@@ -21,6 +25,15 @@ class SolutionEdge(NamedTuple):
     p1: Point
     p2: Point
     mult: int
+
+
+@dataclass(frozen=True)
+class Subgraph:
+    """A solver's edge multiset; ``total_length`` is the sweep's optimum,
+    which ``check_subgraph`` holds the edges to."""
+
+    edges: tuple[SolutionEdge, ...]
+    total_length: int
 
 
 def edges_from_moves(
@@ -64,7 +77,11 @@ def parse_solution(text: str) -> tuple[int, list[tuple[str, int, int, int]]]:
             continue
         parts = line.split()
         if parts[0] == "length" and len(parts) == 2:
+            if length is not None:
+                raise InputError(f"solution line {lineno}: second length line {line!r}")
             length = _field(parts[1], lineno, line)
+            if length < 0:
+                raise InputError(f"solution line {lineno}: negative length {line!r}")
         elif parts[0] in ("V", "H") and len(parts) == 4:
             i, j, mult = (_field(t, lineno, line) for t in parts[1:])
             raw.append((parts[0], i, j, mult))
@@ -99,7 +116,7 @@ def resolve_edges(
     return edges
 
 
-def total_edge_length(edges: list[SolutionEdge]) -> int:
+def total_edge_length(edges: Iterable[SolutionEdge]) -> int:
     return sum(e.mult * l1(e.p1, e.p2) for e in edges)
 
 
@@ -125,23 +142,33 @@ class UnionFind:
         return True
 
 
-def check_connected_covering(
-    edges: list[SolutionEdge], terminals: tuple[Point, ...], what: str
-):
-    """All terminals must be endpoints of the edge set and in one component."""
+def check_subgraph(sub: Subgraph, instance: Instance, max_mult: int, what: str):
+    """The invariants of both problems' solutions; raises on any violation.
+
+    Every multiplicity is in ``1..max_mult``, every terminal is an endpoint,
+    the edges form one component, and their lengths sum to
+    ``total_length``. A one-point instance's empty subgraph holds them all;
+    on any other instance an empty subgraph misses a terminal.
+    """
+    if not sub.edges and len(instance.points) == 1:
+        return
     uf = UnionFind()
     touched: set[Point] = set()
-    for e in edges:
+    for e in sub.edges:
+        if not 1 <= e.mult <= max_mult:
+            raise InternalInfeasibleError(f"{what} has multiplicity {e.mult}")
         touched.add(e.p1)
         touched.add(e.p2)
         uf.union(e.p1, e.p2)
-    for t in terminals:
+    for t in instance.points:
         if t not in touched:
             raise InternalInfeasibleError(f"{what} misses terminal {t}")
-    roots = {uf.find(t) for t in terminals}
-    if len(roots) > 1:
-        raise InternalInfeasibleError(f"{what} is disconnected")
-    # components not containing any terminal would also be disconnection
+    root = uf.find(instance.points[0])
     for p in touched:
-        if uf.find(p) not in roots:
-            raise InternalInfeasibleError(f"{what} has a stray component at {p}")
+        if uf.find(p) != root:
+            raise InternalInfeasibleError(f"{what} is disconnected at {p}")
+    length = total_edge_length(sub.edges)
+    if length != sub.total_length:
+        raise InternalInfeasibleError(
+            f"{what} edges sum to {length}, not the optimum {sub.total_length}"
+        )

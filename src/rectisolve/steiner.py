@@ -12,6 +12,10 @@ segment: skip or take. Filtering:
 
 Final layer (``tables.accept_mask``): every last-column terminal labeled,
 all labels equal.
+
+In trace mode the tree is a ``solution.Subgraph`` that holds the sweep's
+optimum as its length, checked by ``validate_steiner_tree``
+(``solution.check_subgraph`` with single edges, plus no cycle).
 """
 
 from __future__ import annotations
@@ -22,28 +26,16 @@ import numpy as np
 
 from .errors import InternalInfeasibleError
 from .geometry import Instance, build_grid
-from .solution import (
-    SolutionEdge,
-    UnionFind,
-    check_connected_covering,
-    edges_from_moves,
-    total_edge_length,
-)
+from .solution import Subgraph, UnionFind, check_subgraph, edges_from_moves
 from .states import join_rows, set_label
 from . import tables as tables_mod
 from .tables import SweepStats
 
 
-@dataclass(frozen=True)
-class SteinerTree:
-    edges: tuple[SolutionEdge, ...]
-    total_length: int
-
-
 @dataclass
 class SteinerSolution:
     length: int
-    tree: SteinerTree | None
+    tree: Subgraph | None
     stats: SweepStats
 
 
@@ -92,35 +84,23 @@ def solve_steiner(instance: Instance, *, trace: bool = True) -> SteinerSolution:
     edge set, rolling mode the length only.
     """
     if len(instance.points) == 1:
-        return SteinerSolution(0, SteinerTree((), 0), SweepStats(1, 1, 0, 0.0))
+        return SteinerSolution(0, Subgraph((), 0), SweepStats(1, 1, 0, 0.0))
     grid = build_grid(instance)
     res, moves = tables_mod.solve_grid(STEINER, grid, trace)
     length, stats = res.cost, res.stats
 
     tree = None
     if trace:
-        edges = edges_from_moves(grid, moves)
-        tree = SteinerTree(tuple(edges), total_edge_length(edges))
-        if tree.total_length != length:
-            raise InternalInfeasibleError(
-                f"reconstruction length {tree.total_length} != optimum {length}"
-            )
+        tree = Subgraph(tuple(edges_from_moves(grid, moves)), length)
         validate_steiner_tree(tree, instance)
     return SteinerSolution(length, tree, stats)
 
 
-def validate_steiner_tree(tree: SteinerTree, instance: Instance):
-    """Connected, acyclic, terminal-spanning, with consistent length."""
-    if not tree.edges:
-        if len(instance.points) == 1:
-            return
-        raise InternalInfeasibleError("empty tree for multi-point instance")
+def validate_steiner_tree(tree: Subgraph, instance: Instance):
+    """The shared solution checks with single edges only, and no cycle;
+    raises on any violation."""
+    check_subgraph(tree, instance, 1, "steiner tree")
     uf = UnionFind()
     for e in tree.edges:
-        if e.mult != 1:
-            raise InternalInfeasibleError("tree edge with multiplicity != 1")
         if not uf.union(e.p1, e.p2):
             raise InternalInfeasibleError(f"cycle through {e.p1}-{e.p2}")
-    check_connected_covering(list(tree.edges), instance.points, "steiner tree")
-    if total_edge_length(list(tree.edges)) != tree.total_length:
-        raise InternalInfeasibleError("edge lengths do not sum to total_length")

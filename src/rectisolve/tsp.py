@@ -15,8 +15,10 @@ of any segment. Feasibility is enforced where it becomes decidable:
 * the final layer must hold a single component, with no odd row and a
   label on every last-column terminal row (``tables.accept_mask``).
 
-The optimal subgraph is then oriented into a closed walk by Hierholzer's
-algorithm.
+In trace mode the optimal subgraph is a ``solution.Subgraph`` that holds
+the sweep's optimum as its length. It is checked by
+``validate_tour_subgraph`` (``solution.check_subgraph`` plus even degrees)
+and oriented into a closed walk by Hierholzer's algorithm.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ import numpy as np
 
 from .errors import InternalInfeasibleError, NotEulerianError
 from .geometry import Instance, Point, build_grid, l1
-from .solution import (
-    SolutionEdge,
-    check_connected_covering,
-    edges_from_moves,
-    total_edge_length,
-)
+from .solution import Subgraph, check_subgraph, edges_from_moves
 from .states import EVEN, ODD, ZERO, join_rows, set_label
 from . import tables as tables_mod
 from .tables import SweepStats
@@ -40,16 +37,10 @@ from .tables import SweepStats
 Tour = tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class TourSubgraph:
-    edges: tuple[SolutionEdge, ...]
-    total_length: int
-
-
 @dataclass
 class TspSolution:
     length: int
-    subgraph: TourSubgraph | None
+    subgraph: Subgraph | None
     tour: Tour | None
     stats: SweepStats
 
@@ -122,7 +113,7 @@ def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
     """
     if len(instance.points) == 1:
         return TspSolution(
-            0, TourSubgraph((), 0), (instance.points[0],),
+            0, Subgraph((), 0), (instance.points[0],),
             SweepStats(1, 1, 0, 0.0),
         )
     grid = build_grid(instance)
@@ -131,12 +122,7 @@ def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
 
     subgraph = tour = None
     if trace:
-        edges = edges_from_moves(grid, moves)
-        subgraph = TourSubgraph(tuple(edges), total_edge_length(edges))
-        if subgraph.total_length != length:
-            raise InternalInfeasibleError(
-                f"reconstruction length {subgraph.total_length} != optimum {length}"
-            )
+        subgraph = Subgraph(tuple(edges_from_moves(grid, moves)), length)
         validate_tour_subgraph(subgraph, instance)
         tour = orient_tour(subgraph, instance)
         walked = sum(l1(tour[k], tour[k + 1]) for k in range(len(tour) - 1))
@@ -150,28 +136,20 @@ def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
 # --- validation and orientation -------------------------------------------
 
 
-def validate_tour_subgraph(subgraph: TourSubgraph, instance: Instance):
-    """Assert the tour-subgraph invariants; raises on any violation."""
-    edges = subgraph.edges
-    if not edges:
-        if len(instance.points) == 1:
-            return
-        raise InternalInfeasibleError("empty subgraph for multi-point instance")
+def validate_tour_subgraph(subgraph: Subgraph, instance: Instance):
+    """The shared solution checks with multiplicities up to 2, and an even
+    degree at every vertex; raises on any violation."""
+    check_subgraph(subgraph, instance, 2, "tour subgraph")
     degree: dict[Point, int] = {}
-    for e in edges:
-        if e.mult not in (1, 2):
-            raise InternalInfeasibleError(f"multiplicity {e.mult} out of range")
+    for e in subgraph.edges:
         degree[e.p1] = degree.get(e.p1, 0) + e.mult
         degree[e.p2] = degree.get(e.p2, 0) + e.mult
     odd = [p for p, d in degree.items() if d % 2]
     if odd:
         raise InternalInfeasibleError(f"odd degree at {odd[:3]}")
-    check_connected_covering(list(edges), instance.points, "tour subgraph")
-    if total_edge_length(list(edges)) != subgraph.total_length:
-        raise InternalInfeasibleError("edge lengths do not sum to total_length")
 
 
-def orient_tour(subgraph: TourSubgraph, instance: Instance) -> Tour:
+def orient_tour(subgraph: Subgraph, instance: Instance) -> Tour:
     """Orient a valid tour subgraph into a closed walk using every edge
     instance exactly once, starting at the lowest-leftmost terminal."""
     if not subgraph.edges:

@@ -29,15 +29,11 @@ import numpy as np
 
 from rectisolve.errors import InternalInfeasibleError
 from rectisolve.geometry import EdgeEvent, HananGrid, Instance, build_grid, edge_schedule
-from rectisolve.solution import edges_from_moves, total_edge_length
+from rectisolve.solution import Subgraph, edges_from_moves, total_edge_length
 from rectisolve.states import EVEN, ODD, ZERO
-from rectisolve.steiner import (
-    SteinerSolution,
-    SteinerTree,
-    validate_steiner_tree,
-)
+from rectisolve.steiner import SteinerSolution, validate_steiner_tree
 from rectisolve.tables import Kind, StateSpace, SweepStats
-from rectisolve.tsp import TourSubgraph, TspSolution, orient_tour, validate_tour_subgraph
+from rectisolve.tsp import TspSolution, orient_tour, validate_tour_subgraph
 
 from reference_states import (
     FrontierState,
@@ -423,7 +419,7 @@ def solve_tsp_reference(instance: Instance) -> TspSolution:
         on_state=check_canonical,
     )
     edges = edges_from_moves(grid, reconstruct(res.trace, res.final_key))
-    subgraph = TourSubgraph(tuple(edges), total_edge_length(edges))
+    subgraph = Subgraph(tuple(edges), total_edge_length(edges))
     assert subgraph.total_length == res.cost
     validate_tour_subgraph(subgraph, instance)
     return TspSolution(res.cost, subgraph, orient_tour(subgraph, instance), res.stats)
@@ -441,7 +437,7 @@ def solve_steiner_reference(instance: Instance) -> SteinerSolution:
         on_state=check_canonical,
     )
     edges = edges_from_moves(grid, reconstruct(res.trace, res.final_key))
-    tree = SteinerTree(tuple(edges), total_edge_length(edges))
+    tree = Subgraph(tuple(edges), total_edge_length(edges))
     assert tree.total_length == res.cost
     validate_steiner_tree(tree, instance)
     return SteinerSolution(res.cost, tree, res.stats)

@@ -2,14 +2,9 @@ import random
 
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import EdgeEvent, Point, build_grid, l1, make_instance
-from rectisolve.solution import SolutionEdge
+from rectisolve.solution import SolutionEdge, Subgraph
 from rectisolve.states import EVEN, ODD, ZERO, count_states
-from rectisolve.tsp import (
-    TourSubgraph,
-    orient_tour,
-    solve_tsp,
-    validate_tour_subgraph,
-)
+from rectisolve.tsp import orient_tour, solve_tsp, validate_tour_subgraph
 
 from reference_oracles import tsp_bruteforce
 from reference_states import (
@@ -157,7 +152,7 @@ class TestTourExtraction:
             SolutionEdge("V", 1, 1, pts[0], pts[2], 1),
             SolutionEdge("V", 1, 2, pts[1], pts[3], 1),
         )
-        sub = TourSubgraph(edges, 4)
+        sub = Subgraph(edges, 4)
         inst = make_instance([(0, 0), (1, 0), (0, 1), (1, 1)])
         validate_tour_subgraph(sub, inst)
         tour = orient_tour(sub, inst)
@@ -167,7 +162,7 @@ class TestTourExtraction:
 
     def test_single_doubled_edge(self):
         a, b = Point(0, 0), Point(4, 0)
-        sub = TourSubgraph((SolutionEdge("H", 1, 1, a, b, 2),), 8)
+        sub = Subgraph((SolutionEdge("H", 1, 1, a, b, 2),), 8)
         tour = orient_tour(sub, make_instance([(0, 0), (4, 0)]))
         assert tour == (a, b, a)
 
