@@ -54,9 +54,16 @@ Tables depend only on (variant, h), never on segment lengths or column
 positions, so they are cached with their state space, one ``TableSet`` per
 (variant, h), and shared across instances and runs.
 Costs use int32 when the instance's total-length upper bound allows it.
-Trace mode keeps every layer for path reconstruction, as the rows of one
-preallocated array of up to MAX_TRACE_BYTES; rolling mode keeps two rows
-and reports the cost only.
+Both modes keep two cost rows. Trace mode also keeps, for path
+reconstruction, one bit per candidate transition of every event, set when
+the candidate's cost equals the new row's cost at its destination: a
+survivor decision of the kind a Viterbi decoder keeps (Viterbi, IEEE
+Trans. IT 1967). Reconstruction walks back from the optimum through the
+smallest (source, multiplicity) pair whose bit is set, which is the pair
+the tie order asks for. An event's bits, its states' own transitions in
+state order and then its table's and open table's rows in row order, fill
+a whole number of bytes of one preallocated array, at most
+MAX_TRACE_BYTES of it.
 
 Both solvers run the same sweep: a ``Variant`` names the state format,
 the kernel and the largest multiplicity, and ``solve_grid`` runs one on a
@@ -66,6 +73,7 @@ grid.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,8 +130,9 @@ class StateSpace:
     comp_mat: np.ndarray  # (N, h) int8
 
 
-# Trace mode keeps one cost array per layer; a sweep whose layers would
-# take more bytes than this is refused before any of them is allocated.
+# Trace mode keeps one bit per transition candidate and event; a sweep
+# whose bits could take more bytes than this is refused before enumerating
+# states.
 MAX_TRACE_BYTES = 4 << 30
 # A warm rolling sweep takes 6-9 ns per state and event; a sweep of more
 # state-events than this (60-90 s) is refused before enumerating states.
@@ -300,6 +309,9 @@ def accept_mask(space: StateSpace, term_rows: tuple[bool, ...]) -> np.ndarray:
 class VectorResult:
     cost: int
     final_index: int
+    final_layer: np.ndarray  # the last layer's cost per state, inf if unreached
+    # trace mode: the packed tight bits and the int64 byte offset of each
+    # event's block in them, one more than there are events
     layers: list[np.ndarray] | None
     events: list[EdgeEvent]
     kinds: list[Kind]
@@ -314,6 +326,12 @@ def _cost_dtype(grid: HananGrid, mult_max: int) -> type:
     that bound fits; else int64."""
     total = grid.v * (grid.ys[-1] - grid.ys[0]) + grid.h * (grid.xs[-1] - grid.xs[0])
     return np.int32 if mult_max * total < 2**29 else np.int64
+
+
+# Trace mode writes each event's tight bits as bools into a zeroed buffer
+# of this many, and packs them into the trace whenever the next event's
+# would not fit.
+_FLAG_CHUNK = 1 << 20
 
 
 def run_vector_sweep(
@@ -331,52 +349,105 @@ def run_vector_sweep(
     departs = [ev.kind == "H" and grid.is_terminal(ev.row, ev.col) for ev in events]
 
     dtype = _cost_dtype(grid, mult_max)
-    # a 0-d array, which a ufunc call takes faster than a numpy scalar
+    # 0-d arrays, which a ufunc call takes faster than numpy scalars; a
+    # length of the cost dtype makes the int8 multiplicities' products
+    # that dtype, and an unreached source gives at most inf + the cost
+    # bound of _cost_dtype, inside it
     inf = np.array(2**30 if dtype is np.int32 else 2**62, dtype=dtype)
+    lengths = [np.array(ev.length, dtype) for ev in events]
 
-    # every layer is a row of one array; rolling mode alternates two rows
-    store = np.empty((len(events) + 1 if trace else 2, n), dtype=dtype)
-    cost = store[0]
+    # An event's candidates are every state's transition to itself, then
+    # the table's moving rows and, at an event that departs a terminal, the
+    # open table's rows. Their costs fill one buffer. Each cost row leads a
+    # buffer as wide, whose rest takes the new row's cost at each moving
+    # candidate's destination. The views into these buffers are made once
+    # per (kind, departs) pair and parity of the event.
+    steps = {}
+    for key in dict.fromkeys(zip(kinds, departs)):
+        (orient, row), opens = key
+        steps[key] = (tableset.get((orient, row)), tableset.get(("O", row)) if opens else None)
+    width = n + max(
+        (len(t.src) + (len(o.src) if o else 0) for t, o in steps.values()), default=0
+    )
+    cand, weight = np.empty(width, dtype), np.empty(width, dtype)
+    below = np.empty(width, bool)
+    rows = np.empty((2, width), dtype)
+    for key, (table, opened) in steps.items():
+        mid = n + len(table.src)
+        end = mid + (len(opened.src) if opened else 0)
+        # event e writes the new cost row into rows[1 - e % 2]
+        steps[key] = [
+            (table, opened, cand[:n], cand[n:mid], weight[n:mid], cand[:mid],
+             below[:mid], below[:n], below[n:mid], cand[mid:end], weight[mid:end],
+             cand[:end], rows[r, :n], rows[r, n:mid], rows[r, mid:end],
+             rows[r, :end], -(-end // 8))
+            for r in (1, 0)
+        ]
+
+    if trace:
+        uses = Counter(zip(kinds, departs))
+        bits = np.empty(sum(steps[key][0][-1] * k for key, k in uses.items()), np.uint8)
+        blocks = []  # each event's bytes of bits
+        # zeroed, so that each block's padding to a whole byte stays zero
+        largest = max((step[0][-1] for step in steps.values()), default=0)
+        flags = np.zeros(max(_FLAG_CHUNK, 8 * largest), bool)
+        packed = used = 0  # bytes of bits written, flags of the chunk used
+
+    cost = rows[0, :n]
     cost.fill(inf)
     cost[0] = 0  # the all-empty state: key 0, the smallest
-    reached_mask = cost < inf
-    reached = max_states = 1
-    # the moving rows' buffers, grown to the largest table met so far
-    cand, weight, below = np.empty(0, dtype), np.empty(0, dtype), np.empty(0, bool)
+    max_states = 1
     expansions = 0
-    for e, (event, kind, opens) in enumerate(zip(events, kinds, departs), 1):
-        table = tableset.get(kind)
-        nxt = store[e if trace else e & 1]
-        # a 0-d length of the cost dtype makes the int8 multiplicities'
-        # products that dtype; an unreached source gives at most
-        # inf + the cost bound of _cost_dtype, inside it
-        length = np.array(event.length, dtype)
-        np.multiply(table.keep, length, out=nxt)
-        nxt += cost
-        np.minimum(nxt, inf, out=nxt)  # an unreached state stays exactly inf
-        # each reached state expands to itself, or to its opened state
-        expansions += reached
-        if opens:
-            opened = tableset.get(("O", event.row))
-            # take, as fancy indexing converts int32 indices to intp first
-            gained = cost.take(opened.src) + opened.mult * length
-            np.minimum.at(nxt, opened.dst, gained)
-            nxt[opened.src] = inf
-        rows = len(table.src)
-        if rows > len(cand):
-            cand, weight = np.empty(rows, dtype), np.empty(rows, dtype)
-            below = np.empty(rows, bool)
+    for e, (key, length) in enumerate(zip(zip(kinds, departs), lengths)):
+        (table, opened, own, moved, wt, counted, reached, stays, goes, gained,
+         owt, costs, nxt, gathered, ogathered, whole, block) = steps[key][e & 1]
+        np.multiply(table.keep, length, out=own)
+        own += cost
         # "clip" clips no valid index and, unlike "raise", fills out unbuffered
-        moved = cost.take(table.src, out=cand[:rows], mode="clip")
-        moved += np.multiply(table.mult, length, out=weight[:rows])
-        expansions += np.count_nonzero(np.less(moved, inf, out=below[:rows]))
-        np.minimum.at(nxt, table.dst, moved)
+        cost.take(table.src, out=moved, mode="clip")
+        moved += np.multiply(table.mult, length, out=wt)
+        # a state was reached when its own candidate is below inf; each
+        # expands once, to itself or to its opened state, and once more per
+        # moving row of the table whose source was reached
+        np.less(counted, inf, out=reached)
+        states = np.count_nonzero(stays)
+        max_states = max(max_states, states)
+        expansions += states + np.count_nonzero(goes)
+        np.minimum(own, inf, out=nxt)  # an unreached state stays exactly inf
+        if opened is not None:
+            cost.take(opened.src, out=gained, mode="clip")
+            gained += np.multiply(opened.mult, length, out=owt)
+            nxt[opened.src] = inf  # every state whose row is empty opens instead
+            np.minimum.at(nxt, opened.dst, gained)
+        # one intp copy serves the scatter and the gather, which would each
+        # convert int32 indices, the scatter at a slower pace
+        dst = table.dst.astype(np.intp)
+        np.minimum.at(nxt, dst, moved)
+        if trace:
+            if used + 8 * block > len(flags):
+                bits[packed : packed + used // 8] = np.packbits(flags[:used])
+                packed += used // 8
+                flags[:used] = False
+                used = 0
+            # a candidate is tight when its cost is the new row's cost at
+            # its destination
+            nxt.take(dst, out=gathered, mode="clip")
+            if opened is not None:
+                nxt.take(opened.dst, out=ogathered, mode="clip")
+            tight = np.equal(costs, whole, out=flags[used : used + len(costs)])
+            if opened is not None:
+                tight[opened.src] = False
+            used += 8 * block
+            blocks.append(block)
         cost = nxt
-        reached = np.count_nonzero(np.less(cost, inf, out=reached_mask))
-        max_states = max(max_states, reached)
 
-    feasible = accept_mask & (cost < inf)
-    candidates = np.flatnonzero(feasible)
+    if trace:
+        bits[packed:] = np.packbits(flags[:used])
+        offsets = np.zeros(len(events) + 1, np.int64)
+        np.cumsum(blocks, out=offsets[1:])
+    finite = cost < inf
+    max_states = max(max_states, np.count_nonzero(finite))
+    candidates = np.flatnonzero(accept_mask & finite)
     if candidates.size == 0:
         raise InternalInfeasibleError("no accepted state on the final layer")
     best = candidates[int(np.argmin(cost[candidates]))]
@@ -389,7 +460,8 @@ def run_vector_sweep(
     return VectorResult(
         cost=int(cost[best]),
         final_index=int(best),
-        layers=list(store) if trace else None,
+        final_layer=cost,
+        layers=[bits, offsets] if trace else None,
         events=events,
         kinds=kinds,
         departs=departs,
@@ -400,41 +472,49 @@ def run_vector_sweep(
 def reconstruct_vector(
     result: VectorResult, tableset: TableSet
 ) -> list[tuple[EdgeEvent, int]]:
-    """Backward pass over the stored layers, resolving each step to the
-    smallest (source, multiplicity) pair that achieves the layer cost."""
+    """Backward pass over the tight bits, resolving each step to the
+    smallest (source, multiplicity) pair whose transition was tight."""
     if result.layers is None:
         raise InternalInfeasibleError("reconstruction requires trace mode")
+    bits, offsets = result.layers
+    data = memoryview(bits)
+    starts = offsets.tolist()
+    n = len(tableset.space.keys)
+    comp_mat = tableset.space.comp_mat
     moves: list[tuple[EdgeEvent, int]] = []
     idx = result.final_index
     for l in range(len(result.events), 0, -1):
         event = result.events[l - 1]
         table = tableset.get(result.kinds[l - 1])
         searched = [table]
-        rows = [(idx, int(table.keep[idx]))]
-        if result.departs[l - 1]:
-            if tableset.space.comp_mat[idx, event.row - 1]:
-                # only a state with a labeled row can have been opened
-                searched.append(tableset.get(("O", event.row)))
-            else:  # every state whose row is empty opens instead of staying
-                rows.clear()
+        if result.departs[l - 1] and comp_mat[idx, event.row - 1]:
+            # only a state with a labeled row can have been opened
+            searched.append(tableset.get(("O", event.row)))
+        # the event's bits start at bit `block`: every state's transition to
+        # itself, then the table's rows, then the open table's; np.packbits
+        # puts bit j at 7 - j % 8 of byte j // 8, counted from the low end
+        block = starts[l - 1] * 8
+        found = []
+        j = block + idx
+        if data[j >> 3] >> (~j & 7) & 1:
+            found.append((idx, int(table.keep[idx])))
         # int32 keys, as int64 ones would make searchsorted cast all of dst
         keys = np.array((idx, idx + 1), dtype=np.int32)
+        first = block + n
         for t in searched:
             a, b = t.dst.searchsorted(keys).tolist()
-            rows += zip(t.src[a:b].tolist(), t.mult[a:b].tolist())
-        rows.sort()  # tie order
-        if not rows:
-            raise InternalInfeasibleError(f"no transitions into state at layer {l}")
-        here = int(result.layers[l][idx])
-        prev_layer = result.layers[l - 1]
-        for s, m in rows:
-            if int(prev_layer[s]) + m * event.length == here:
-                if m:
-                    moves.append((event, m))
-                idx = s
-                break
-        else:
+            if a < b:
+                j = first + a
+                for s, m in zip(t.src[a:b].tolist(), t.mult[a:b].tolist()):
+                    if data[j >> 3] >> (~j & 7) & 1:
+                        found.append((s, m))
+                    j += 1
+            first += len(t.src)
+        if not found:
             raise InternalInfeasibleError(f"broken cost chain at layer {l}")
+        idx, m = min(found)  # tie order
+        if m:
+            moves.append((event, m))
     moves.reverse()
     return moves
 
@@ -453,11 +533,12 @@ def solve_grid(
             f"limit of {MAX_STATE_EVENTS} state-events (events x states)"
         )
     if trace:
-        itemsize = np.dtype(_cost_dtype(grid, variant.mult_max)).itemsize
-        trace_bytes = (events + 1) * states * itemsize
+        # one bit per candidate: a state's own transition, at most mult_max
+        # moving rows and at most one open row out of it
+        trace_bytes = events * -(-(2 + variant.mult_max) * states // 8)
         if trace_bytes > MAX_TRACE_BYTES:
             raise GuardExceeded(
-                f"trace of {events + 1} layers of {states} states needs "
+                f"trace of {events} events of {states} states needs up to "
                 f"{trace_bytes} bytes, above the limit of {MAX_TRACE_BYTES}"
             )
     tableset = get_tableset(variant, h)

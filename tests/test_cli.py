@@ -260,8 +260,8 @@ def test_work_guard_refuses_long_rolling_sweeps_at_once(
 
 
 def test_trace_byte_guard_exits_3(tmp_path, capsys):
-    # tsp h=8 over 1500 columns: about 8.6 GB of trace layers
-    text = write_instance(gen_instance(1500, 8, 6000, 32, 1))
+    # tsp h=9 over 1000 columns: up to about 4.7 GB of tight bits
+    text = write_instance(gen_instance(1000, 9, 4000, 36, 1))
     inst = write_instance_file(tmp_path, text)
     t0 = time.perf_counter()
     code, _, err = run(capsys, "solve-tsp", "--input", inst)
@@ -271,9 +271,9 @@ def test_trace_byte_guard_exits_3(tmp_path, capsys):
 
 
 def test_trace_byte_guard_refuses_before_enumerating(tmp_path, capsys, monkeypatch):
-    # tsp h=9 over 200 columns: 3 391 events x 551 616 states pass the work
-    # guard, and their 3 392 int32 layers need about 7.5 GB
-    text = write_instance(gen_instance(200, 9, 800, 36, 1))
+    # tsp h=9 over 1000 columns: 16 991 events x 551 616 states pass the
+    # work guard, and their tight bits may need 275 808 bytes an event
+    text = write_instance(gen_instance(1000, 9, 4000, 36, 1))
     inst = write_instance_file(tmp_path, text)
 
     def no_space(problem, h):
@@ -283,4 +283,4 @@ def test_trace_byte_guard_refuses_before_enumerating(tmp_path, capsys, monkeypat
     monkeypatch.setattr(tables, "get_space", no_space)
     code, _, err = run(capsys, "solve-tsp", "--input", inst)
     assert code == 3
-    assert "guard" in err and "7484325888 bytes" in err
+    assert "guard" in err and "4686253728 bytes" in err

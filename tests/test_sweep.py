@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,12 +112,65 @@ def test_reconstruct_replays_to_final_state():
 
 
 def test_trace_byte_guard_refuses_at_once():
-    # tsp h=8 over 1500 columns: 22 493 layers of 95 200 int32 costs
-    inst = gen_instance(1500, 8, 6000, 32, 1)
+    # tsp h=9 over 1000 columns: 16 991 events of up to 275 808 bytes each,
+    # inside the work guard
+    inst = gen_instance(1000, 9, 4000, 36, 1)
     t0 = time.perf_counter()
-    with pytest.raises(GuardExceeded, match="8565334400 bytes"):
+    with pytest.raises(GuardExceeded, match="4686253728 bytes"):
         solve_tsp(inst, trace=True)
     assert time.perf_counter() - t0 < 1.0
+
+
+BOUND_CASES = [(tsp.TSP, h) for h in range(1, 8)] + [
+    (steiner.STEINER, h) for h in range(1, 10)
+]
+
+
+@pytest.mark.parametrize("variant, h", BOUND_CASES, ids=lambda x: getattr(x, "name", x))
+def test_trace_byte_estimate_bounds_every_event(variant, h):
+    # the guard counts per state one bit for its own transition, mult_max
+    # for moving rows and one for an open row: no state has more rows out
+    # of it than that, in any table
+    tableset = get_tableset(variant, h)
+    n = len(tableset.space.keys)
+    for row in range(1, h + 1):
+        orients = ("V", "H") if row < h else ("H",)
+        for kind in [(orient, row) for orient in orients]:
+            rows_out = np.bincount(tableset.get(kind).src, minlength=n)
+            assert rows_out.max() <= variant.mult_max, kind
+        opened = tableset.get(("O", row))
+        assert len(np.unique(opened.src)) == len(opened.src) <= n
+    inst = gen_instance(3 * h, h, 12 * h, 4 * h, h)
+    grid = build_grid(inst)
+    res, _ = tables.solve_grid(variant, grid, trace=True)
+    events = len(res.events)
+    bits, offsets = res.layers
+    assert bits.nbytes == offsets[-1] <= events * -(-(2 + variant.mult_max) * n // 8)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_traced_tour_at_benchmark_scale_stays_small(tmp_path):
+    # one traced tsp n=200 h=7 solve, in a process of its own; its peak
+    # resident set is VmHWM, not ru_maxrss, which exec keeps from the
+    # process that started it. The solve takes about 50 MiB; storing every
+    # cost layer would take about 205 MiB.
+    code = (
+        "from rectisolve import gen_instance, solve_tsp\n"
+        "sol = solve_tsp(gen_instance(200, 7, 800, 28, 1), trace=True)\n"
+        "assert sol.tour is not None\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line for line in fh if line.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(tables.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    _, peak, unit = out.stdout.split()
+    assert unit == "kB" and int(peak) < 128 * 1024
 
 
 def test_trace_byte_guard_spares_rolling_mode(monkeypatch):
@@ -321,6 +378,41 @@ def fake_tableset(rows_by_kind, opens=NO_OPENS):
     return tableset
 
 
+def tight_bits(layers, events, kinds, departs, tableset):
+    """The packed tight bits and per-event byte offsets of a traced sweep
+    whose cost layers are ``layers``. A candidate s -> d at multiplicity m
+    is tight when layers[l - 1][s] + m * length == layers[l][d]; its bits
+    are every state's transition to itself, then the table's rows and, at
+    an event that departs a terminal, the open table's rows, where a state
+    whose row is empty has no transition to itself."""
+    n = len(tableset.space.keys)
+    own = np.arange(n)
+    blocks = []
+    for prev, cur, event, kind, opens in zip(layers, layers[1:], events, kinds, departs):
+        prev, cur = np.asarray(prev, np.int64), np.asarray(cur, np.int64)
+        table = tableset.get(kind)
+        rows = [(own, own, table.keep), (table.src, table.dst, table.mult)]
+        if opens:
+            opened = tableset.get(("O", event.row))
+            rows.append((opened.src, opened.dst, opened.mult))
+        flags = np.concatenate(
+            [prev[s] + m.astype(np.int64) * event.length == cur[d] for s, d, m in rows]
+        )
+        if opens:
+            flags[opened.src] = False
+        blocks.append(np.packbits(flags))
+    offsets = np.cumsum([0] + [len(block) for block in blocks])
+    return [np.concatenate(blocks), offsets]
+
+
+def traced(tableset, cost, idx, layers, events, kinds, departs):
+    """The result of a traced sweep whose cost layers are ``layers``."""
+    bits = tight_bits(layers, events, kinds, departs, tableset)
+    return VectorResult(
+        cost, idx, np.asarray(layers[-1]), bits, events, kinds, departs, None
+    )
+
+
 def test_reconstruction_breaks_ties_by_source_then_multiplicity():
     inf = 2**30
     tableset = fake_tableset({
@@ -345,15 +437,15 @@ def test_reconstruction_breaks_ties_by_source_then_multiplicity():
         np.array([inf, 10, 5, inf, inf]),
         np.array([inf, inf, inf, 10, inf]),
     ]
-    result = VectorResult(
-        10, 3, layers, [spread, join], ["spread", "join"], [False, False], None
+    result = traced(
+        tableset, 10, 3, layers, [spread, join], ["spread", "join"], [False, False]
     )
     # source 1 wins: its path doubles the spread and skips the join
     assert reconstruct_vector(result, tableset) == [(spread, 2)]
 
     double = EdgeEvent("V", 1, 1, 0)
     layers = [np.array([inf, 4, 4, inf, inf]), np.array([inf, inf, inf, 4, inf])]
-    result = VectorResult(4, 3, layers, [double], ["double"], [False], None)
+    result = traced(tableset, 4, 3, layers, [double], ["double"], [False])
     assert reconstruct_vector(result, tableset) == [(double, 1)]
 
     meet = EdgeEvent("V", 1, 1, 5)
@@ -362,8 +454,8 @@ def test_reconstruction_breaks_ties_by_source_then_multiplicity():
         ([inf, 0, 5, 10, inf], [(meet, 2)]),  # all three cost 10: source 1 wins
         ([inf, inf, 5, 10, inf], [(meet, 1)]),  # state 2 itself wins over source 3
     ):
-        result = VectorResult(
-            10, 2, [np.array(before), after], [meet], ["meet"], [False], None
+        result = traced(
+            tableset, 10, 2, [np.array(before), after], [meet], ["meet"], [False]
         )
         assert reconstruct_vector(result, tableset) == want
 
@@ -384,7 +476,7 @@ def test_reconstruction_tries_the_open_row_in_source_order():
         (0, [2, inf, inf, 4, inf], [4, 4, inf, 4, inf], []),
     ):
         layers = [np.array(before), np.array(after)]
-        result = VectorResult(5, idx, layers, [depart], ["open"], [True], None)
+        result = traced(tableset, 5, idx, layers, [depart], ["open"], [True])
         assert reconstruct_vector(result, tableset) == want
 
 
@@ -396,28 +488,38 @@ REFERENCE_SWEEPS = {
 }
 
 
+def reference_layers(variant, grid, tableset):
+    """The reference dict sweep on a grid and its cost layers as arrays in
+    state order, inf where a state is not reached."""
+    initial, transition, accept = REFERENCE_SWEEPS[variant.name][1:]
+    term_rows = grid.terminal_rows_last_col()
+    want = run_sweep(grid, initial(grid.h), transition, lambda s: accept(s, term_rows))
+    space = tableset.space
+    keys = [encode_state(s) for s in states_from_matrices(space.comp_mat, space.parity_mat)]
+    inf = 2**30 if tables._cost_dtype(grid, variant.mult_max) is np.int32 else 2**62
+    layers = [[ref[k].cost if k in ref else inf for k in keys] for ref in want.trace.layers]
+    return want, layers
+
+
 @pytest.mark.parametrize("problem", ["tsp", "steiner"])
 def test_layers_match_reference_sweep(problem):
-    # every reached state's cost, layer by layer; an unreached one is inf
-    variant, initial, transition, accept = REFERENCE_SWEEPS[problem]
+    # every event's tight bits are those of the reference sweep's costs,
+    # layer by layer, and the final row holds its last layer's costs
+    variant = REFERENCE_SWEEPS[problem][0]
     for seed in range(6):
         inst = gen_instance(4 + seed, 2 + seed % 3, 60, 40, 700 + seed)
         grid = build_grid(inst)
-        term_rows = grid.terminal_rows_last_col()
-        want = run_sweep(
-            grid, initial(grid.h), transition, lambda s: accept(s, term_rows)
-        )
         got, _ = tables.solve_grid(variant, grid, trace=True)
-        space = get_space(problem, grid.h)
-        keys = [
-            encode_state(s)
-            for s in states_from_matrices(space.comp_mat, space.parity_mat)
-        ]
-        assert len(got.layers) == len(want.trace.layers)
-        for layer, ref in zip(got.layers, want.trace.layers):
-            inf = 2**30 if layer.dtype == np.int32 else 2**62
-            expect = [ref[k].cost if k in ref else inf for k in keys]
-            assert layer.tolist() == expect
+        tableset = get_tableset(variant, grid.h)
+        want, layers = reference_layers(variant, grid, tableset)
+        assert len(layers) == len(got.events) + 1
+        bits, offsets = tight_bits(layers, got.events, got.kinds, got.departs, tableset)
+        assert got.layers[1].dtype == np.int64
+        assert got.layers[1].tolist() == offsets.tolist()
+        for e, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            assert got.layers[0][a:b].tolist() == bits[a:b].tolist(), e
+        assert got.layers[0].dtype == np.uint8 and len(got.layers[0]) == offsets[-1]
+        assert got.final_layer.tolist() == layers[-1]
         assert got.stats.max_layer_states == want.stats.max_layer_states
         assert type(got.stats.max_layer_states) is int  # JSON-serialisable
         assert type(got.stats.total_expansions) is int
@@ -435,9 +537,10 @@ def test_total_expansions_counts_reached_states_and_moving_rows(problem):
         grid = build_grid(inst)
         res, _ = tables.solve_grid(variant, grid, trace=True)
         tableset = get_tableset(variant, grid.h)
+        _, layers = reference_layers(variant, grid, tableset)
         want = 0
-        for prev, kind in zip(res.layers, res.kinds):
-            reached = prev < (2**30 if prev.dtype == np.int32 else 2**62)
+        for prev, kind in zip(layers, res.kinds):
+            reached = np.array(prev) < (2**30 if res.final_layer.dtype == np.int32 else 2**62)
             want += np.count_nonzero(reached)
             want += np.count_nonzero(reached[tableset.get(kind).src])
         assert any(res.departs) and res.stats.total_expansions == want
@@ -483,14 +586,17 @@ def test_reconstruction_raises_on_a_broken_cost_chain():
     tableset = fake_tableset(dict.fromkeys(kinds(2), [(0, 0, 0), (0, 1, 1), (1, 1, 0)]))
     accept = np.array([False, True, False, False, False])
     result = run_vector_sweep(grid, tableset, accept, mult_max=2)
-    # the fake's open tables are empty, so no state opened at the event that
-    # departs a terminal; reconstruction assumes that every state whose row
-    # is empty did, as every real open table holds them all
-    result.departs = [False] * len(result.events)
     # state 1 is first reached at layer 1, and the tie on the last event
     # goes to source 0
     assert reconstruct_vector(result, tableset) == [(result.events[-1], 1)]
-    result.layers[4][1] += 1  # no row into state 1 gives this cost any more
+    # no row into state 1 is tight at the last event any more
+    bits, offsets = result.layers
+    table = tableset.get(result.kinds[3])
+    into = [1] + [len(table.keep) + j for j in np.flatnonzero(table.dst == 1)]
+    block = np.unpackbits(bits[offsets[3] : offsets[4]])
+    assert block[into].any()
+    block[into] = 0
+    bits[offsets[3] : offsets[4]] = np.packbits(block)
     with pytest.raises(InternalInfeasibleError, match="broken cost chain at layer 4"):
         reconstruct_vector(result, tableset)
 
@@ -509,10 +615,9 @@ def test_unreached_sources_leave_exactly_inf(x, dtype, inf):
     accept = np.array([False, True, False, False, False])
     res = run_vector_sweep(grid, tableset, accept, mult_max=2)
     assert res.cost == 1  # the first vertical segment, once
-    assert len(res.layers) == 5
-    for layer in res.layers:
-        assert layer.dtype == dtype
-        assert layer[4] == inf
+    assert res.stats.layer_count == 5
+    assert res.final_layer.dtype == dtype
+    assert res.final_layer[4] == inf
 
 
 @pytest.mark.parametrize("h", [3, 4, 5])
@@ -552,7 +657,7 @@ def test_cost_dtype_switch(problem, mult_max, k_last_int32):
         mask = tables.accept_mask(tableset.space, grid.terminal_rows_last_col())
         res = run_vector_sweep(grid, tableset, mask, mult_max)
         want = np.int32 if k == k_last_int32 else np.int64
-        assert all(layer.dtype == want for layer in res.layers)
+        assert res.final_layer.dtype == want
         assert res.cost == k * base
         assert solve(inst).length == k * base
     # the int64 instance moved out to the coordinate limit in x and in -y
