@@ -26,9 +26,11 @@ smallest (predecessor key, multiplicity) pair.
 Terminals are handled here alone. At a horizontal event that departs a
 terminal, a state whose row is empty may not stay: it opens a fresh
 single-row component there, at the multiplicity its opened state keeps
-itself at. The row's open table, kind ("O", r), holds these moves as
-moving rows with no ``keep``. The final layer accepts one component with a
-label on every last-column terminal row and, for tours, no odd row.
+itself at. An ("H", r) table lists these open rows after its moving rows,
+from ``opens`` on, sorted by destination; an event that departs a terminal
+takes them too, and any other event stops at ``opens``. The final layer
+accepts one component with a label on every last-column terminal row and,
+for tours, no odd row.
 
 A table is built with numpy over the whole space at once. The solver's
 kernel maps every state to its candidate successors, as arrays of source
@@ -48,7 +50,8 @@ bottom, and renumbering its labels gives a state again: a permutation rho
 of the state space (``TableSet.rotation``). A segment on row r acts on a
 state as the same segment on row r + 1 acts on its rotation, so row
 r + 1's table is row r's with its sources and destinations mapped through
-rho and re-sorted, and its ``keep``, if it has one, scattered through rho.
+rho and re-sorted, the open rows still after the moving rows, and its
+``keep`` scattered through rho.
 
 Tables depend only on (variant, h), never on segment lengths or column
 positions, so they are cached with their state space, one ``TableSet`` per
@@ -61,9 +64,8 @@ survivor decision of the kind a Viterbi decoder keeps (Viterbi, IEEE
 Trans. IT 1967). Reconstruction walks back from the optimum through the
 smallest (source, multiplicity) pair whose bit is set, which is the pair
 the tie order asks for. An event's bits, its states' own transitions in
-state order and then its table's and open table's rows in row order, fill
-a whole number of bytes of one preallocated array, at most
-MAX_TRACE_BYTES of it.
+state order and then the table rows it takes in row order, fill a whole
+number of bytes of one preallocated array, at most MAX_TRACE_BYTES of it.
 
 Both solvers run the same sweep: a ``Variant`` names the state format,
 the kernel and the largest multiplicity, and ``solve_grid`` runs one on a
@@ -73,7 +75,6 @@ grid.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,7 +85,7 @@ from .geometry import EdgeEvent, HananGrid, edge_schedule
 from .states import EVEN, MAX_LABEL, ODD, count_states, enumerate_states, pack_states
 from .states import relabel_rows, render_row, set_label, unpack_states
 
-Kind = tuple  # ("V", r), ("H", r) or ("O", r), r the 1-based row
+Kind = tuple  # ("V", r) or ("H", r), r the 1-based row
 # (space, kind) -> (src, comp, parity, mult): one candidate per entry, with
 # its (M, h) labels and parities (None for the tree variant) and its int8
 # multiplicity.
@@ -137,6 +138,9 @@ MAX_TRACE_BYTES = 4 << 30
 # A warm rolling sweep takes 6-9 ns per state and event; a sweep of more
 # state-events than this (60-90 s) is refused before enumerating states.
 MAX_STATE_EVENTS = 10**10
+# An event also costs 10-18 us whatever its states, about this many
+# state-events; the work guard counts it on top of the states.
+_EVENT_COST = 2000
 
 _TABLES: dict[tuple[str, int], "TableSet"] = {}
 
@@ -155,13 +159,15 @@ class KindTable:
     transition as one row, rows sorted by (dst, src, mult). One (src, dst)
     pair has at most one row, the one with the smallest multiplicity.
 
-    An open table ("O", r) has no ``keep``: its rows send each state whose
-    row r is empty to its opened state, in place of staying."""
+    An ("H", r) table's rows from ``opens`` on are its open rows, sorted by
+    dst: they send each state whose row r is empty to its opened state, in
+    place of staying, at an event that departs a terminal."""
 
-    keep: np.ndarray | None  # int8 per state: the multiplicity to itself
+    keep: np.ndarray  # int8 per state: the multiplicity to itself
     src: np.ndarray  # int32 source state index
     dst: np.ndarray  # int32 destination state index, src != dst
     mult: np.ndarray  # int8 edges the segment gets (0, 1 or 2)
+    opens: int  # the first open row; len(src) for a V table
 
 
 class TableSet:
@@ -179,8 +185,6 @@ class TableSet:
             orient, row = kind
             if row > 1:
                 table = self._rotate(self.get((orient, row - 1)))
-            elif orient == "O":
-                table = self._build_open(row)
             else:
                 table = self._build(kind)
             self.tables[kind] = table
@@ -204,14 +208,16 @@ class TableSet:
         """The table one row up: a row s -> d becomes rho[s] -> rho[d]."""
         rho = self.rotation()
         src, dst = rho[table.src], rho[table.dst]
-        # one int64 key per (dst, src) pair, each pair unique; a stable sort
-        # takes the runs that rho keeps in order at a fraction of lexsort's time
-        order = np.argsort(dst.astype(np.int64) * len(rho) + src, kind="stable")
-        keep = None
-        if table.keep is not None:
-            keep = np.empty_like(table.keep)
-            keep[rho] = table.keep
-        return KindTable(keep, src[order], dst[order], table.mult[order])
+        # one int64 key per (dst, src) pair, unique among the moving rows and
+        # among the open rows, which N**2 puts after them; a stable sort takes
+        # the runs that rho keeps in order at a fraction of lexsort's time
+        n = len(rho)
+        key = dst.astype(np.int64) * n + src
+        key[table.opens :] += n * n
+        order = np.argsort(key, kind="stable")
+        keep = np.empty_like(table.keep)
+        keep[rho] = table.keep
+        return KindTable(keep, src[order], dst[order], table.mult[order], table.opens)
 
     def _build(self, kind: Kind) -> KindTable:
         space = self.space
@@ -231,25 +237,25 @@ class TableSet:
             what = "kernel left state {} without a transition to itself for kind "
             raise _fault(what + str(kind), space.comp_mat, space.parity_mat, r)
         rows = first & ~stay
-        return KindTable(keep, src[rows], dst[rows], mult[rows])
-
-    def _build_open(self, row: int) -> KindTable:
-        """The open table ("O", row): each state whose row is empty to its
-        opened state, at the multiplicity the opened state keeps itself at
-        in the ("H", row) table."""
-        comp_mat, parity_mat = self.space.comp_mat, self.space.parity_mat
-        r = row - 1
-        src = np.flatnonzero(comp_mat[:, r] == 0).astype(np.int32)
-        comp = set_label(comp_mat[src], r, comp_mat.shape[1] + 1)
-        parity = None
-        if parity_mat is not None:
-            parity = parity_mat[src]
-            parity[:, r] = EVEN
-        kind = ("H", row)
-        dst = self._find(src, comp, parity, _EMITTED + str(kind))
-        order = np.argsort(dst)  # one state opens into each opened state
-        src, dst = src[order], dst[order]
-        return KindTable(None, src, dst, self.get(kind).keep[dst])
+        src, dst, mult = src[rows], dst[rows], mult[rows]
+        opens = len(src)
+        if kind[0] == "H":
+            # each state whose row is empty to its opened state, at the
+            # multiplicity the opened state keeps itself at
+            comp_mat, parity_mat = space.comp_mat, space.parity_mat
+            r = kind[1] - 1
+            empty = np.flatnonzero(comp_mat[:, r] == 0).astype(np.int32)
+            comp = set_label(comp_mat[empty], r, comp_mat.shape[1] + 1)
+            parity = None
+            if parity_mat is not None:
+                parity = parity_mat[empty]
+                parity[:, r] = EVEN
+            opened = self._find(empty, comp, parity, _EMITTED + str(kind))
+            order = np.argsort(opened)  # one state opens into each opened state
+            empty, opened = empty[order], opened[order]
+            src, dst = np.concatenate((src, empty)), np.concatenate((dst, opened))
+            mult = np.concatenate((mult, keep[opened]))
+        return KindTable(keep, src, dst, mult, opens)
 
     def _find(self, src, comp, parity, what: str) -> np.ndarray:
         """Each candidate's state index, in src's dtype; a candidate that is
@@ -357,37 +363,36 @@ def run_vector_sweep(
     lengths = [np.array(ev.length, dtype) for ev in events]
 
     # An event's candidates are every state's transition to itself, then
-    # the table's moving rows and, at an event that departs a terminal, the
-    # open table's rows. Their costs fill one buffer. Each cost row leads a
-    # buffer as wide, whose rest takes the new row's cost at each moving
-    # candidate's destination. The views into these buffers are made once
-    # per (kind, departs) pair and parity of the event.
-    steps = {}
-    for key in dict.fromkeys(zip(kinds, departs)):
-        (orient, row), opens = key
-        steps[key] = (tableset.get((orient, row)), tableset.get(("O", row)) if opens else None)
-    width = n + max(
-        (len(t.src) + (len(o.src) if o else 0) for t, o in steps.values()), default=0
-    )
+    # the table's rows up to ``opens`` or, at an event that departs a
+    # terminal, all of them. Their costs fill one buffer. Each cost row
+    # leads a buffer as wide, whose rest takes the new row's cost at each
+    # moving candidate's destination. The views into these buffers are made
+    # once per (kind, departs) pair and parity of the event.
+    steps = {key: tableset.get(key[0]) for key in dict.fromkeys(zip(kinds, departs))}
+    width = n + max((len(table.src) for table in steps.values()), default=0)
     cand, weight = np.empty(width, dtype), np.empty(width, dtype)
     below = np.empty(width, bool)
     rows = np.empty((2, width), dtype)
-    for key, (table, opened) in steps.items():
-        mid = n + len(table.src)
-        end = mid + (len(opened.src) if opened else 0)
+    for key, table in steps.items():
+        taken = len(table.src) if key[1] else table.opens
+        mid, end = n + table.opens, n + taken
+        # the sources that open in place of staying, at an event that
+        # departs a terminal
+        opened = table.src[table.opens :] if key[1] else None
         # event e writes the new cost row into rows[1 - e % 2]
         steps[key] = [
-            (table, opened, cand[:n], cand[n:mid], weight[n:mid], cand[:mid],
-             below[:mid], below[:n], below[n:mid], cand[mid:end], weight[mid:end],
-             cand[:end], rows[r, :n], rows[r, n:mid], rows[r, mid:end],
+            (table.keep, table.src[:taken], table.dst[:taken], table.mult[:taken],
+             opened, cand[:n], cand[n:end], weight[n:end], cand[:mid], below[:mid],
+             below[:n], below[n:mid], cand[:end], rows[r, :n], rows[r, n:end],
              rows[r, :end], -(-end // 8))
             for r in (1, 0)
         ]
 
     if trace:
-        uses = Counter(zip(kinds, departs))
-        bits = np.empty(sum(steps[key][0][-1] * k for key, k in uses.items()), np.uint8)
-        blocks = []  # each event's bytes of bits
+        # each event's bits fill whole bytes, one block after another
+        offsets = np.zeros(len(events) + 1, np.int64)
+        np.cumsum([steps[key][0][-1] for key in zip(kinds, departs)], out=offsets[1:])
+        bits = np.empty(offsets[-1], np.uint8)
         # zeroed, so that each block's padding to a whole byte stays zero
         largest = max((step[0][-1] for step in steps.values()), default=0)
         flags = np.zeros(max(_FLAG_CHUNK, 8 * largest), bool)
@@ -399,13 +404,13 @@ def run_vector_sweep(
     max_states = 1
     expansions = 0
     for e, (key, length) in enumerate(zip(zip(kinds, departs), lengths)):
-        (table, opened, own, moved, wt, counted, reached, stays, goes, gained,
-         owt, costs, nxt, gathered, ogathered, whole, block) = steps[key][e & 1]
-        np.multiply(table.keep, length, out=own)
+        (keep, src, dst, mult, opened, own, moved, wt, counted, reached, stays,
+         goes, costs, nxt, gathered, whole, block) = steps[key][e & 1]
+        np.multiply(keep, length, out=own)
         own += cost
         # "clip" clips no valid index and, unlike "raise", fills out unbuffered
-        cost.take(table.src, out=moved, mode="clip")
-        moved += np.multiply(table.mult, length, out=wt)
+        cost.take(src, out=moved, mode="clip")
+        moved += np.multiply(mult, length, out=wt)
         # a state was reached when its own candidate is below inf; each
         # expands once, to itself or to its opened state, and once more per
         # moving row of the table whose source was reached
@@ -415,13 +420,10 @@ def run_vector_sweep(
         expansions += states + np.count_nonzero(goes)
         np.minimum(own, inf, out=nxt)  # an unreached state stays exactly inf
         if opened is not None:
-            cost.take(opened.src, out=gained, mode="clip")
-            gained += np.multiply(opened.mult, length, out=owt)
-            nxt[opened.src] = inf  # every state whose row is empty opens instead
-            np.minimum.at(nxt, opened.dst, gained)
+            nxt[opened] = inf  # every state whose row is empty opens instead
         # one intp copy serves the scatter and the gather, which would each
         # convert int32 indices, the scatter at a slower pace
-        dst = table.dst.astype(np.intp)
+        dst = dst.astype(np.intp)
         np.minimum.at(nxt, dst, moved)
         if trace:
             if used + 8 * block > len(flags):
@@ -432,19 +434,14 @@ def run_vector_sweep(
             # a candidate is tight when its cost is the new row's cost at
             # its destination
             nxt.take(dst, out=gathered, mode="clip")
-            if opened is not None:
-                nxt.take(opened.dst, out=ogathered, mode="clip")
             tight = np.equal(costs, whole, out=flags[used : used + len(costs)])
             if opened is not None:
-                tight[opened.src] = False
+                tight[opened] = False
             used += 8 * block
-            blocks.append(block)
         cost = nxt
 
     if trace:
         bits[packed:] = np.packbits(flags[:used])
-        offsets = np.zeros(len(events) + 1, np.int64)
-        np.cumsum(blocks, out=offsets[1:])
     finite = cost < inf
     max_states = max(max_states, np.count_nonzero(finite))
     candidates = np.flatnonzero(accept_mask & finite)
@@ -486,13 +483,13 @@ def reconstruct_vector(
     for l in range(len(result.events), 0, -1):
         event = result.events[l - 1]
         table = tableset.get(result.kinds[l - 1])
-        searched = [table]
+        searched = [(0, table.opens)]
         if result.departs[l - 1] and comp_mat[idx, event.row - 1]:
             # only a state with a labeled row can have been opened
-            searched.append(tableset.get(("O", event.row)))
+            searched.append((table.opens, len(table.src)))
         # the event's bits start at bit `block`: every state's transition to
-        # itself, then the table's rows, then the open table's; np.packbits
-        # puts bit j at 7 - j % 8 of byte j // 8, counted from the low end
+        # itself, then the table's rows; np.packbits puts bit j at 7 - j % 8
+        # of byte j // 8, counted from the low end
         block = starts[l - 1] * 8
         found = []
         j = block + idx
@@ -500,16 +497,15 @@ def reconstruct_vector(
             found.append((idx, int(table.keep[idx])))
         # int32 keys, as int64 ones would make searchsorted cast all of dst
         keys = np.array((idx, idx + 1), dtype=np.int32)
-        first = block + n
-        for t in searched:
-            a, b = t.dst.searchsorted(keys).tolist()
+        for lo, hi in searched:
+            a, b = table.dst[lo:hi].searchsorted(keys).tolist()
             if a < b:
-                j = first + a
-                for s, m in zip(t.src[a:b].tolist(), t.mult[a:b].tolist()):
+                a, b = a + lo, b + lo
+                j = block + n + a
+                for s, m in zip(table.src[a:b].tolist(), table.mult[a:b].tolist()):
                     if data[j >> 3] >> (~j & 7) & 1:
                         found.append((s, m))
                     j += 1
-            first += len(t.src)
         if not found:
             raise InternalInfeasibleError(f"broken cost chain at layer {l}")
         idx, m = min(found)  # tie order
@@ -527,10 +523,11 @@ def solve_grid(
     h = grid.h
     events = 2 * h * grid.v - h - grid.v
     states = count_states(h, variant.name)
-    if events * states > MAX_STATE_EVENTS:
+    if events * (states + _EVENT_COST) > MAX_STATE_EVENTS:
         raise GuardExceeded(
             f"{variant.name} sweep of {events} events at h={h} is above the "
-            f"limit of {MAX_STATE_EVENTS} state-events (events x states)"
+            f"limit of {MAX_STATE_EVENTS} state-events "
+            f"(events x (states + {_EVENT_COST}))"
         )
     if trace:
         # one bit per candidate: a state's own transition, at most mult_max

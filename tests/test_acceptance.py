@@ -231,17 +231,22 @@ def test_criterion_7_invariance_suite():
 def test_criterion_8_scaling_shape():
     solve_tsp(gen_instance(50, 6, 200, 24, 42), trace=False)  # warm tables
 
-    def mean_ms(n, seeds):
-        total = 0.0
-        for s in seeds:
-            inst = gen_instance(n, 6, 4 * n, 24, s)
+    def best_ms(inst):
+        # the best of three solves, so a stall of the host falls out
+        best = float("inf")
+        for _ in range(3):
             t0 = time.perf_counter()
             solve_tsp(inst, trace=False)
-            total += time.perf_counter() - t0
-        return 1000.0 * total / len(seeds)
+            best = min(best, time.perf_counter() - t0)
+        return 1000.0 * best
 
-    m50 = mean_ms(50, range(1, 11))
-    m200 = mean_ms(200, range(1, 11))
+    # the two sizes interleaved per seed, so a slow spell hits both
+    total = {50: 0.0, 200: 0.0}
+    seeds = range(1, 11)
+    for s in seeds:
+        for n in total:
+            total[n] += best_ms(gen_instance(n, 6, 4 * n, 24, s))
+    m50, m200 = total[50] / len(seeds), total[200] / len(seeds)
     ratio = m200 / m50
     assert ratio <= 6.0, f"n=200 mean {m200:.0f}ms vs n=50 mean {m50:.0f}ms"
-    report(8, f"h=6 mean wall: n=50 {m50:.0f}ms, n=200 {m200:.0f}ms, ratio {ratio:.2f}")
+    report(8, f"h=6 mean best-of-3 wall: n=50 {m50:.0f}ms, n=200 {m200:.0f}ms, ratio {ratio:.2f}")

@@ -247,9 +247,11 @@ def test_work_guard_refuses_long_rolling_sweeps_at_once(
 ):
     # tsp: 20 391 events x 551 616 states; steiner: 11 539 x 974 427
     events = 2 * h * n - h - n
-    assert events * count_states(h, problem) > tables.MAX_STATE_EVENTS
+    per_event = count_states(h, problem) + tables._EVENT_COST
+    assert events * per_event > tables.MAX_STATE_EVENTS
     # the desk-scale edge, steiner n=50 h=11, stays inside the limit
-    assert (2 * 11 * 50 - 61) * count_states(11, "steiner") <= tables.MAX_STATE_EVENTS
+    edge = (2 * 11 * 50 - 61) * (count_states(11, "steiner") + tables._EVENT_COST)
+    assert edge <= tables.MAX_STATE_EVENTS
     text = write_instance(gen_instance(n, h, 4 * n, 4 * h, 1))
     inst = write_instance_file(tmp_path, text)
     t0 = time.perf_counter()
@@ -257,6 +259,26 @@ def test_work_guard_refuses_long_rolling_sweeps_at_once(
     assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert "guard" in err and "state-events" in err
+
+
+def test_work_guard_counts_each_events_fixed_cost(tmp_path, capsys, monkeypatch):
+    # tsp h=2 over 300 columns: 898 events x 6 states are far inside a
+    # limit of 10**6 state-events, but each event's fixed cost is not
+    text = write_instance(gen_instance(300, 2, 1200, 8, 1))
+    inst = write_instance_file(tmp_path, text)
+    assert 898 * count_states(2, "tsp") <= 10**6
+
+    def no_space(problem, h):
+        raise AssertionError("the state space was enumerated")
+
+    monkeypatch.setattr(tables, "MAX_STATE_EVENTS", 10**6)
+    monkeypatch.setattr(tables, "_TABLES", {})  # no cached tables to hide a call
+    monkeypatch.setattr(tables, "get_space", no_space)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "solve-tsp", "--no-trace", "--input", inst)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert "guard" in err and "898 events" in err
 
 
 def test_trace_byte_guard_exits_3(tmp_path, capsys):

@@ -129,17 +129,16 @@ BOUND_CASES = [(tsp.TSP, h) for h in range(1, 8)] + [
 @pytest.mark.parametrize("variant, h", BOUND_CASES, ids=lambda x: getattr(x, "name", x))
 def test_trace_byte_estimate_bounds_every_event(variant, h):
     # the guard counts per state one bit for its own transition, mult_max
-    # for moving rows and one for an open row: no state has more rows out
-    # of it than that, in any table
+    # for moving rows and one for an open row: no state has more moving
+    # rows out of it than that in any table, nor more than one open row
     tableset = get_tableset(variant, h)
     n = len(tableset.space.keys)
-    for row in range(1, h + 1):
-        orients = ("V", "H") if row < h else ("H",)
-        for kind in [(orient, row) for orient in orients]:
-            rows_out = np.bincount(tableset.get(kind).src, minlength=n)
-            assert rows_out.max() <= variant.mult_max, kind
-        opened = tableset.get(("O", row))
-        assert len(np.unique(opened.src)) == len(opened.src) <= n
+    for kind in kinds(h):
+        table = tableset.get(kind)
+        rows_out = np.bincount(table.src[: table.opens], minlength=n)
+        assert rows_out.max() <= variant.mult_max, kind
+        opened = table.src[table.opens :]
+        assert len(np.unique(opened)) == len(opened) <= n, kind
     inst = gen_instance(3 * h, h, 12 * h, 4 * h, h)
     grid = build_grid(inst)
     res, _ = tables.solve_grid(variant, grid, trace=True)
@@ -201,15 +200,16 @@ def kinds(h):
 TABLE_CASES = [("tsp", h) for h in range(1, 7)] + [("steiner", h) for h in range(1, 9)]
 
 
-def expand_rows(table, opened=None):
+def expand_rows(table, departs=False):
     """A split table as plain rows, each state's row to itself included,
-    sorted by (dst, src, mult); with an open table, as at an event that
-    departs a terminal, its rows replace its sources' rows to themselves."""
+    sorted by (dst, src, mult). Its open rows are left out, or, as at an
+    event that departs a terminal, replace their sources' rows to
+    themselves."""
     own = np.arange(len(table.keep), dtype=np.int32)
-    parts = [(table.src, table.dst, table.mult)]
-    if opened is not None:
-        own = np.setdiff1d(own, opened.src).astype(np.int32)
-        parts.append((opened.src, opened.dst, opened.mult))
+    end = len(table.src) if departs else table.opens
+    if departs:
+        own = np.setdiff1d(own, table.src[table.opens :]).astype(np.int32)
+    parts = [(table.src[:end], table.dst[:end], table.mult[:end])]
     parts.append((own, own, table.keep[own]))
     src, dst, mult = (np.concatenate(arrays) for arrays in zip(*parts))
     order = np.lexsort((mult, src, dst))
@@ -244,23 +244,21 @@ def test_tables_match_reference_builder(problem, h):
         assert got.keep.dtype == np.int8 and len(got.keep) == len(keys), kind
         assert not (got.src == got.dst).any(), kind
         # the reference builder's H kinds carry the departing vertex's
-        # terminal flag; the package's table is the non-terminal one, and
-        # its open table turns it into the terminal one
+        # terminal flag; the package's table up to its open rows is the
+        # non-terminal one, and with them the terminal one
         plain = kind if kind[0] == "V" else kind + (False,)
         assert_rows_match_reference(expand_rows(got), space, reference_kernel, plain)
         if kind[0] == "V":
+            assert got.opens == len(got.src), kind
             continue
         row = kind[1]
-        opened = tableset.get(("O", row))
-        assert opened.keep is None
-        assert opened.src.dtype == opened.dst.dtype == np.int32
-        assert opened.mult.dtype == np.int8
-        assert (np.diff(opened.dst) > 0).all()
+        opened = slice(got.opens, None)
+        assert (np.diff(got.dst[opened]) > 0).all()
         assert np.array_equal(
-            np.sort(opened.src), np.flatnonzero(space.comp_mat[:, row - 1] == 0)
+            np.sort(got.src[opened]), np.flatnonzero(space.comp_mat[:, row - 1] == 0)
         )
         assert_rows_match_reference(
-            expand_rows(got, opened), space, reference_kernel, ("H", row, True)
+            expand_rows(got, departs=True), space, reference_kernel, ("H", row, True)
         )
 
 
@@ -313,7 +311,8 @@ def test_rotation_is_a_permutation_of_order_h(problem, h):
 @pytest.mark.parametrize("problem, h", [("tsp", 7), ("steiner", 9)])
 def test_derived_tables_match_kernel_builds(problem, h):
     # the benchmark's sizes; the kernel runs for row 1 alone, and every
-    # other row's table and open table is derived from the row below it
+    # other row's table, its open rows included, is derived from the row
+    # below it
     space = get_space(problem, h)
     called = []
 
@@ -322,14 +321,12 @@ def test_derived_tables_match_kernel_builds(problem, h):
         return KERNELS[problem](space, kind)
 
     derived, direct = TableSet(space, counted), TableSet(space, KERNELS[problem])
-    for kind in kinds(h) + [("O", row) for row in range(1, h + 1)]:
-        got = derived.get(kind)
-        want = direct._build_open(kind[1]) if kind[0] == "O" else direct._build(kind)
-        assert (got.keep is None) == (want.keep is None) == (kind[0] == "O"), kind
+    for kind in kinds(h):
+        got, want = derived.get(kind), direct._build(kind)
+        assert got.opens == want.opens, kind
         for name in ("keep", "src", "dst", "mult"):
             a, b = getattr(got, name), getattr(want, name)
-            if a is not None:
-                assert a.dtype == b.dtype and np.array_equal(a, b), (kind, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (kind, name)
     assert called == [("V", 1), ("H", 1)]
 
 
@@ -346,22 +343,13 @@ def test_rotation_refuses_a_space_not_closed_under_it():
         tableset.rotation()
 
 
-def open_table(src, dst, mult):
-    return KindTable(
-        None, np.array(src, np.int32), np.array(dst, np.int32), np.array(mult, np.int8)
-    )
-
-
-NO_OPENS = open_table([], [], [])
-
-
-def fake_tableset(rows_by_kind, opens=NO_OPENS):
+def fake_tableset(rows_by_kind, opens=()):
     """A TableSet over the five tree states at h=2, (0,0) (1,0) (0,1) (1,1)
     (1,2) in index order, whose kernel emits the given (src, dst, mult)
     rows for a kind, plus a row with multiplicity 0 from each state that
-    they leave without a row to itself, and ``opens`` as the open table of
-    both grid rows. Every kind's table is kernel-built, none derived by
-    rotation."""
+    they leave without a row to itself, and the (src, dst, mult) rows
+    ``opens`` as every table's open rows. Every kind's table is
+    kernel-built, none derived by rotation."""
     space = get_space("steiner", 2)
 
     def kernel(space, kind):
@@ -373,8 +361,15 @@ def fake_tableset(rows_by_kind, opens=NO_OPENS):
         return src, space.comp_mat[dst], None, mult.astype(np.int8)
 
     tableset = TableSet(space, kernel)
-    tableset.tables.update({kind: tableset._build(kind) for kind in rows_by_kind})
-    tableset.tables.update({("O", 1): opens, ("O", 2): opens})
+    tail = np.array(opens, dtype=int).reshape(-1, 3).T
+    for kind in rows_by_kind:
+        table = tableset._build(kind)
+        cut = table.opens
+        src, dst, mult = (
+            np.concatenate((a[:cut], b.astype(a.dtype)))
+            for a, b in zip((table.src, table.dst, table.mult), tail)
+        )
+        tableset.tables[kind] = KindTable(table.keep, src, dst, mult, cut)
     return tableset
 
 
@@ -382,24 +377,22 @@ def tight_bits(layers, events, kinds, departs, tableset):
     """The packed tight bits and per-event byte offsets of a traced sweep
     whose cost layers are ``layers``. A candidate s -> d at multiplicity m
     is tight when layers[l - 1][s] + m * length == layers[l][d]; its bits
-    are every state's transition to itself, then the table's rows and, at
-    an event that departs a terminal, the open table's rows, where a state
-    whose row is empty has no transition to itself."""
+    are every state's transition to itself, then the table's rows up to
+    its open rows or, at an event that departs a terminal, all of them,
+    where a state whose row is empty has no transition to itself."""
     n = len(tableset.space.keys)
     own = np.arange(n)
     blocks = []
     for prev, cur, event, kind, opens in zip(layers, layers[1:], events, kinds, departs):
         prev, cur = np.asarray(prev, np.int64), np.asarray(cur, np.int64)
         table = tableset.get(kind)
-        rows = [(own, own, table.keep), (table.src, table.dst, table.mult)]
-        if opens:
-            opened = tableset.get(("O", event.row))
-            rows.append((opened.src, opened.dst, opened.mult))
+        end = len(table.src) if opens else table.opens
+        rows = [(own, own, table.keep), (table.src[:end], table.dst[:end], table.mult[:end])]
         flags = np.concatenate(
             [prev[s] + m.astype(np.int64) * event.length == cur[d] for s, d, m in rows]
         )
         if opens:
-            flags[opened.src] = False
+            flags[table.src[table.opens :]] = False
         blocks.append(np.packbits(flags))
     offsets = np.cumsum([0] + [len(block) for block in blocks])
     return [np.concatenate(blocks), offsets]
@@ -465,8 +458,7 @@ def test_reconstruction_tries_the_open_row_in_source_order():
     # m=1 and has no row to itself; state 1 also keeps itself, and is
     # reached from source 2 with m=0
     inf = 2**30
-    opened = open_table([0], [1], [1])
-    tableset = fake_tableset({"open": [(2, 1, 0), (3, 0, 0), (0, 0, 1)]}, opened)
+    tableset = fake_tableset({"open": [(2, 1, 0), (3, 0, 0), (0, 0, 1)]}, [(0, 1, 1)])
     depart = EdgeEvent("H", 1, 1, 2)
     for idx, before, after, want in (
         # all three rows into state 1 cost 5: the open row, from source 0, wins
@@ -541,8 +533,9 @@ def test_total_expansions_counts_reached_states_and_moving_rows(problem):
         want = 0
         for prev, kind in zip(layers, res.kinds):
             reached = np.array(prev) < (2**30 if res.final_layer.dtype == np.int32 else 2**62)
+            table = tableset.get(kind)
             want += np.count_nonzero(reached)
-            want += np.count_nonzero(reached[tableset.get(kind).src])
+            want += np.count_nonzero(reached[table.src[: table.opens]])
         assert any(res.departs) and res.stats.total_expansions == want
 
 

@@ -48,7 +48,7 @@ def held_bytes(records) -> int:
 @pytest.mark.parametrize("solver", ["tsp", "steiner"])
 def test_tracer_counts_every_table_the_set_holds(monkeypatch, solver):
     # a cold traced solve builds every table it uses through TableSet.get,
-    # open tables included, so the tracer's counts cover the whole set
+    # so the tracer's counts cover the whole set
     monkeypatch.setattr(tables, "_TABLES", {})
     tracer = spans.Tracer()
     tracer.install(rectisolve)
@@ -61,4 +61,7 @@ def test_tracer_counts_every_table_the_set_holds(monkeypatch, solver):
     assert counts["tables.builds"] == len(tableset.tables)
     held = sum(held_bytes(d) for d in vars(tableset).values() if isinstance(d, dict))
     assert counts["tables.table_bytes"] == held
-    assert ("O", 3) in tableset.tables  # a terminal departs on every row
+    # one table per kind: each H table carries its row's open rows
+    assert {orient for orient, _ in tableset.tables} == {"V", "H"}
+    for (orient, row), table in tableset.tables.items():
+        assert (table.opens < len(table.src)) == (orient == "H"), (orient, row)
