@@ -88,6 +88,7 @@ def solve_steiner(instance: Instance, *, trace: bool = True) -> SteinerSolution:
     grid = build_grid(instance)
     res, moves = tables_mod.solve_grid(STEINER, grid, trace)
     length, stats = res.cost, res.stats
+    del res  # its trace, one array per event, is read: free it before the checks
 
     tree = None
     if trace:

@@ -64,8 +64,9 @@ survivor decision of the kind a Viterbi decoder keeps (Viterbi, IEEE
 Trans. IT 1967). Reconstruction walks back from the optimum through the
 smallest (source, multiplicity) pair whose bit is set, which is the pair
 the tie order asks for. An event's bits, its states' own transitions in
-state order and then the table rows it takes in row order, fill a whole
-number of bytes of one preallocated array, at most MAX_TRACE_BYTES of it.
+state order and then the table rows it takes in row order, are packed into
+a whole number of bytes of an array of its own, at most MAX_TRACE_BYTES
+over all events.
 
 Both solvers run the same sweep: a ``Variant`` names the state format,
 the kernel and the largest multiplicity, and ``solve_grid`` runs one on a
@@ -316,8 +317,7 @@ class VectorResult:
     cost: int
     final_index: int
     final_layer: np.ndarray  # the last layer's cost per state, inf if unreached
-    # trace mode: the packed tight bits and the int64 byte offset of each
-    # event's block in them, one more than there are events
+    # trace mode: each event's tight bits, packed into uint8
     layers: list[np.ndarray] | None
     events: list[EdgeEvent]
     kinds: list[Kind]
@@ -334,12 +334,6 @@ def _cost_dtype(grid: HananGrid, mult_max: int) -> type:
     return np.int32 if mult_max * total < 2**29 else np.int64
 
 
-# Trace mode writes each event's tight bits as bools into a zeroed buffer
-# of this many, and packs them into the trace whenever the next event's
-# would not fit.
-_FLAG_CHUNK = 1 << 20
-
-
 def run_vector_sweep(
     grid: HananGrid,
     tableset: TableSet,
@@ -351,7 +345,10 @@ def run_vector_sweep(
     space = tableset.space
     n = len(space.keys)
     events = edge_schedule(grid)
-    kinds = [(ev.kind, ev.row) for ev in events]
+    # one tuple per kind and, below, one 0-d array per length, shared by
+    # every event that has it, so that a long sweep keeps a pointer per event
+    interned: dict[Kind, Kind] = {}
+    kinds = [interned.setdefault(k, k) for k in ((ev.kind, ev.row) for ev in events)]
     departs = [ev.kind == "H" and grid.is_terminal(ev.row, ev.col) for ev in events]
 
     dtype = _cost_dtype(grid, mult_max)
@@ -360,14 +357,17 @@ def run_vector_sweep(
     # that dtype, and an unreached source gives at most inf + the cost
     # bound of _cost_dtype, inside it
     inf = np.array(2**30 if dtype is np.int32 else 2**62, dtype=dtype)
-    lengths = [np.array(ev.length, dtype) for ev in events]
+    barred = inf + dtype(1)
+    zero_d = {x: np.array(x, dtype) for x in {ev.length for ev in events}}
+    lengths = [zero_d[ev.length] for ev in events]
 
     # An event's candidates are every state's transition to itself, then
     # the table's rows up to ``opens`` or, at an event that departs a
     # terminal, all of them. Their costs fill one buffer. Each cost row
     # leads a buffer as wide, whose rest takes the new row's cost at each
     # moving candidate's destination. The views into these buffers are made
-    # once per (kind, departs) pair and parity of the event.
+    # once per (kind, departs) pair and parity of the event. One bool buffer
+    # takes the reached states and then, once they are counted, the bits.
     steps = {key: tableset.get(key[0]) for key in dict.fromkeys(zip(kinds, departs))}
     width = n + max((len(table.src) for table in steps.values()), default=0)
     cand, weight = np.empty(width, dtype), np.empty(width, dtype)
@@ -384,20 +384,11 @@ def run_vector_sweep(
             (table.keep, table.src[:taken], table.dst[:taken], table.mult[:taken],
              opened, cand[:n], cand[n:end], weight[n:end], cand[:mid], below[:mid],
              below[:n], below[n:mid], cand[:end], rows[r, :n], rows[r, n:end],
-             rows[r, :end], -(-end // 8))
+             rows[r, :end], below[:end])
             for r in (1, 0)
         ]
 
-    if trace:
-        # each event's bits fill whole bytes, one block after another
-        offsets = np.zeros(len(events) + 1, np.int64)
-        np.cumsum([steps[key][0][-1] for key in zip(kinds, departs)], out=offsets[1:])
-        bits = np.empty(offsets[-1], np.uint8)
-        # zeroed, so that each block's padding to a whole byte stays zero
-        largest = max((step[0][-1] for step in steps.values()), default=0)
-        flags = np.zeros(max(_FLAG_CHUNK, 8 * largest), bool)
-        packed = used = 0  # bytes of bits written, flags of the chunk used
-
+    layers = [] if trace else None
     cost = rows[0, :n]
     cost.fill(inf)
     cost[0] = 0  # the all-empty state: key 0, the smallest
@@ -405,7 +396,7 @@ def run_vector_sweep(
     expansions = 0
     for e, (key, length) in enumerate(zip(zip(kinds, departs), lengths)):
         (keep, src, dst, mult, opened, own, moved, wt, counted, reached, stays,
-         goes, costs, nxt, gathered, whole, block) = steps[key][e & 1]
+         goes, costs, nxt, gathered, whole, tight) = steps[key][e & 1]
         np.multiply(keep, length, out=own)
         own += cost
         # "clip" clips no valid index and, unlike "raise", fills out unbuffered
@@ -418,30 +409,22 @@ def run_vector_sweep(
         states = np.count_nonzero(stays)
         max_states = max(max_states, states)
         expansions += states + np.count_nonzero(goes)
-        np.minimum(own, inf, out=nxt)  # an unreached state stays exactly inf
         if opened is not None:
-            nxt[opened] = inf  # every state whose row is empty opens instead
+            # every state whose row is empty opens instead of staying: its
+            # own candidate is above inf, so neither kept nor tight
+            own[opened] = barred
+        np.minimum(own, inf, out=nxt)  # an unreached state stays exactly inf
         # one intp copy serves the scatter and the gather, which would each
         # convert int32 indices, the scatter at a slower pace
         dst = dst.astype(np.intp)
         np.minimum.at(nxt, dst, moved)
         if trace:
-            if used + 8 * block > len(flags):
-                bits[packed : packed + used // 8] = np.packbits(flags[:used])
-                packed += used // 8
-                flags[:used] = False
-                used = 0
             # a candidate is tight when its cost is the new row's cost at
             # its destination
             nxt.take(dst, out=gathered, mode="clip")
-            tight = np.equal(costs, whole, out=flags[used : used + len(costs)])
-            if opened is not None:
-                tight[opened] = False
-            used += 8 * block
+            layers.append(np.packbits(np.equal(costs, whole, out=tight)))
         cost = nxt
 
-    if trace:
-        bits[packed:] = np.packbits(flags[:used])
     finite = cost < inf
     max_states = max(max_states, np.count_nonzero(finite))
     candidates = np.flatnonzero(accept_mask & finite)
@@ -458,7 +441,7 @@ def run_vector_sweep(
         cost=int(cost[best]),
         final_index=int(best),
         final_layer=cost,
-        layers=[bits, offsets] if trace else None,
+        layers=layers,
         events=events,
         kinds=kinds,
         departs=departs,
@@ -473,9 +456,6 @@ def reconstruct_vector(
     smallest (source, multiplicity) pair whose transition was tight."""
     if result.layers is None:
         raise InternalInfeasibleError("reconstruction requires trace mode")
-    bits, offsets = result.layers
-    data = memoryview(bits)
-    starts = offsets.tolist()
     n = len(tableset.space.keys)
     comp_mat = tableset.space.comp_mat
     moves: list[tuple[EdgeEvent, int]] = []
@@ -487,13 +467,13 @@ def reconstruct_vector(
         if result.departs[l - 1] and comp_mat[idx, event.row - 1]:
             # only a state with a labeled row can have been opened
             searched.append((table.opens, len(table.src)))
-        # the event's bits start at bit `block`: every state's transition to
-        # itself, then the table's rows; np.packbits puts bit j at 7 - j % 8
-        # of byte j // 8, counted from the low end
-        block = starts[l - 1] * 8
+        # the event's bits: every state's transition to itself, then the
+        # table's rows; np.packbits puts bit j at 7 - j % 8 of byte j // 8,
+        # counted from the low end. item(), unlike a memoryview, leaves no
+        # buffer record on the array.
+        bits = result.layers[l - 1]
         found = []
-        j = block + idx
-        if data[j >> 3] >> (~j & 7) & 1:
+        if bits.item(idx >> 3) >> (~idx & 7) & 1:
             found.append((idx, int(table.keep[idx])))
         # int32 keys, as int64 ones would make searchsorted cast all of dst
         keys = np.array((idx, idx + 1), dtype=np.int32)
@@ -501,9 +481,9 @@ def reconstruct_vector(
             a, b = table.dst[lo:hi].searchsorted(keys).tolist()
             if a < b:
                 a, b = a + lo, b + lo
-                j = block + n + a
+                j = n + a
                 for s, m in zip(table.src[a:b].tolist(), table.mult[a:b].tolist()):
-                    if data[j >> 3] >> (~j & 7) & 1:
+                    if bits.item(j >> 3) >> (~j & 7) & 1:
                         found.append((s, m))
                     j += 1
         if not found:

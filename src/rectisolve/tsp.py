@@ -119,6 +119,7 @@ def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
     grid = build_grid(instance)
     res, moves = tables_mod.solve_grid(TSP, grid, trace)
     length, stats = res.cost, res.stats
+    del res  # its trace, one array per event, is read: free it before the checks
 
     subgraph = tour = None
     if trace:

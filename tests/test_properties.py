@@ -92,11 +92,25 @@ def small_instances(draw):
     return make_instance(points)
 
 
+@st.composite
+def square_instances(draw):
+    """Up to 7 points on a k x k Hanan grid, k up to 4: each of k distinct x
+    and k distinct y values is used, so that no instance is transposed and
+    its transpose runs a sweep of its own."""
+    k = draw(st.integers(1, 4))
+    xs = draw(st.lists(st.integers(-15, 15), min_size=k, max_size=k, unique=True))
+    ys = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k, unique=True))
+    points = list(zip(xs, draw(st.permutations(ys))))
+    points += draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(ys)),
+                            max_size=7 - k))
+    return make_instance(points)
+
+
 OFFSETS = st.integers(-(10**6), 10**6)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(small_instances(), OFFSETS, OFFSETS)
+@given(st.one_of(small_instances(), square_instances()), OFFSETS, OFFSETS)
 def test_solvers_on_generated_instances(inst, dx, dy):
     solution = solve_tsp(inst)
     tour = solution.length

@@ -142,9 +142,10 @@ def test_trace_byte_estimate_bounds_every_event(variant, h):
     inst = gen_instance(3 * h, h, 12 * h, 4 * h, h)
     grid = build_grid(inst)
     res, _ = tables.solve_grid(variant, grid, trace=True)
-    events = len(res.events)
-    bits, offsets = res.layers
-    assert bits.nbytes == offsets[-1] <= events * -(-(2 + variant.mult_max) * n // 8)
+    assert len(res.layers) == len(res.events)
+    for block in res.layers:
+        assert block.dtype == np.uint8
+        assert block.nbytes <= -(-(2 + variant.mult_max) * n // 8)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
@@ -374,8 +375,8 @@ def fake_tableset(rows_by_kind, opens=()):
 
 
 def tight_bits(layers, events, kinds, departs, tableset):
-    """The packed tight bits and per-event byte offsets of a traced sweep
-    whose cost layers are ``layers``. A candidate s -> d at multiplicity m
+    """Each event's packed tight bits in a traced sweep whose cost layers
+    are ``layers``. A candidate s -> d at multiplicity m
     is tight when layers[l - 1][s] + m * length == layers[l][d]; its bits
     are every state's transition to itself, then the table's rows up to
     its open rows or, at an event that departs a terminal, all of them,
@@ -394,8 +395,7 @@ def tight_bits(layers, events, kinds, departs, tableset):
         if opens:
             flags[table.src[table.opens :]] = False
         blocks.append(np.packbits(flags))
-    offsets = np.cumsum([0] + [len(block) for block in blocks])
-    return [np.concatenate(blocks), offsets]
+    return blocks
 
 
 def traced(tableset, cost, idx, layers, events, kinds, departs):
@@ -505,12 +505,12 @@ def test_layers_match_reference_sweep(problem):
         tableset = get_tableset(variant, grid.h)
         want, layers = reference_layers(variant, grid, tableset)
         assert len(layers) == len(got.events) + 1
-        bits, offsets = tight_bits(layers, got.events, got.kinds, got.departs, tableset)
-        assert got.layers[1].dtype == np.int64
-        assert got.layers[1].tolist() == offsets.tolist()
-        for e, (a, b) in enumerate(zip(offsets, offsets[1:])):
-            assert got.layers[0][a:b].tolist() == bits[a:b].tolist(), e
-        assert got.layers[0].dtype == np.uint8 and len(got.layers[0]) == offsets[-1]
+        blocks = tight_bits(layers, got.events, got.kinds, got.departs, tableset)
+        assert len(got.layers) == len(blocks)
+        for e, (a, b) in enumerate(zip(got.layers, blocks)):
+            assert a.dtype == np.uint8 and a.tolist() == b.tolist(), e
+        # one tuple per kind, shared by its events
+        assert len(set(map(id, got.kinds))) <= 2 * grid.h - 1
         assert got.final_layer.tolist() == layers[-1]
         assert got.stats.max_layer_states == want.stats.max_layer_states
         assert type(got.stats.max_layer_states) is int  # JSON-serialisable
@@ -583,13 +583,12 @@ def test_reconstruction_raises_on_a_broken_cost_chain():
     # goes to source 0
     assert reconstruct_vector(result, tableset) == [(result.events[-1], 1)]
     # no row into state 1 is tight at the last event any more
-    bits, offsets = result.layers
     table = tableset.get(result.kinds[3])
     into = [1] + [len(table.keep) + j for j in np.flatnonzero(table.dst == 1)]
-    block = np.unpackbits(bits[offsets[3] : offsets[4]])
+    block = np.unpackbits(result.layers[3])
     assert block[into].any()
     block[into] = 0
-    bits[offsets[3] : offsets[4]] = np.packbits(block)
+    result.layers[3] = np.packbits(block)
     with pytest.raises(InternalInfeasibleError, match="broken cost chain at layer 4"):
         reconstruct_vector(result, tableset)
 
