@@ -15,13 +15,14 @@ three equal-length arrays of source index, destination index and
 multiplicity, sorted by (destination, source, multiplicity). Of the rows a
 kernel emits for one (source, destination) pair only the one with the
 smallest multiplicity is kept: segment lengths are positive, so no other
-can win. Processing one event is one min-plus step into the next layer: a
+can win. Processing one event is one min-plus step into the next layer:
+the moving rows gather their source costs and add their weight, then a
 dense pass adds each state's own multiplicity times the segment length to
-its cost, then the moving rows gather their source costs, add their weight
-and reduce into that layer with one ``np.minimum.at`` over the destination
-indices. Reconstruction breaks equal costs toward the smallest (source
-index, multiplicity) pair; sources are sorted by packed key, so this is the
-smallest (predecessor key, multiplicity) pair.
+its cost, which a table whose ``keep`` is all zero (every V table) skips,
+and the moving rows reduce into the new layer with one ``np.minimum.at``
+over the destination indices. Reconstruction breaks equal costs toward the
+smallest (source index, multiplicity) pair; sources are sorted by packed
+key, so this is the smallest (predecessor key, multiplicity) pair.
 
 Terminals are handled here alone. At a horizontal event that departs a
 terminal, a state whose row is empty may not stay: it opens a fresh
@@ -57,7 +58,8 @@ Tables depend only on (variant, h), never on segment lengths or column
 positions, so they are cached with their state space, one ``TableSet`` per
 (variant, h), and shared across instances and runs.
 Costs use int32 when the instance's total-length upper bound allows it.
-Both modes keep two cost rows. Trace mode also keeps, for path
+Both modes keep one cost row, which each event writes its new row over
+once every candidate has read the old one. Trace mode also keeps, for path
 reconstruction, one bit per candidate transition of every event, set when
 the candidate's cost equals the new row's cost at its destination: a
 survivor decision of the kind a Viterbi decoder keeps (Viterbi, IEEE
@@ -65,8 +67,8 @@ Trans. IT 1967). Reconstruction walks back from the optimum through the
 smallest (source, multiplicity) pair whose bit is set, which is the pair
 the tie order asks for. An event's bits, its states' own transitions in
 state order and then the table rows it takes in row order, are packed into
-a whole number of bytes of an array of its own, at most MAX_TRACE_BYTES
-over all events.
+a whole number of bytes of an array of its own; the bits and their arrays
+take at most MAX_TRACE_BYTES over all events.
 
 Both solvers run the same sweep: a ``Variant`` names the state format,
 the kernel and the largest multiplicity, and ``solve_grid`` runs one on a
@@ -133,9 +135,13 @@ class StateSpace:
 
 
 # Trace mode keeps one bit per transition candidate and event; a sweep
-# whose bits could take more bytes than this is refused before enumerating
-# states.
+# whose bits and their arrays could take more bytes than this is refused
+# before enumerating states.
 MAX_TRACE_BYTES = 4 << 30
+# An event's bits are an ndarray of their own in a list, which takes
+# 158-165 bytes besides the bits: sys.getsizeof less nbytes is 112, the
+# list slot 8, and the allocators' headers and rounding the rest.
+_BLOCK_BYTES = 176
 # A warm rolling sweep takes 6-9 ns per state and event; a sweep of more
 # state-events than this (60-90 s) is refused before enumerating states.
 MAX_STATE_EVENTS = 10**10
@@ -363,67 +369,79 @@ def run_vector_sweep(
 
     # An event's candidates are every state's transition to itself, then
     # the table's rows up to ``opens`` or, at an event that departs a
-    # terminal, all of them. Their costs fill one buffer. Each cost row
-    # leads a buffer as wide, whose rest takes the new row's cost at each
-    # moving candidate's destination. The views into these buffers are made
-    # once per (kind, departs) pair and parity of the event. One bool buffer
-    # takes the reached states and then, once they are counted, the bits.
+    # terminal, all of them. The cost row leads a buffer whose rest takes
+    # the moving candidates' costs, so that one compare finds the reached
+    # states and sources. The own candidates have a buffer of their own,
+    # and the new row's cost at each moving candidate's destination takes
+    # the buffer that held the rows' weights. The views into these buffers
+    # are made once per (kind, departs) pair. One bool buffer takes the
+    # reached states and then, once they are counted, the bits.
     steps = {key: tableset.get(key[0]) for key in dict.fromkeys(zip(kinds, departs))}
     width = n + max((len(table.src) for table in steps.values()), default=0)
-    cand, weight = np.empty(width, dtype), np.empty(width, dtype)
-    below = np.empty(width, bool)
-    rows = np.empty((2, width), dtype)
+    row, below = np.empty(width, dtype), np.empty(width, bool)
+    own, weight = np.empty(n, dtype), np.empty(width - n, dtype)
+    # np.minimum clamps against a full-length operand at twice the pace of
+    # a 0-d one
+    inf_row = np.full(n, inf)
     for key, table in steps.items():
         taken = len(table.src) if key[1] else table.opens
         mid, end = n + table.opens, n + taken
         # the sources that open in place of staying, at an event that
         # departs a terminal
         opened = table.src[table.opens :] if key[1] else None
-        # event e writes the new cost row into rows[1 - e % 2]
-        steps[key] = [
-            (table.keep, table.src[:taken], table.dst[:taken], table.mult[:taken],
-             opened, cand[:n], cand[n:end], weight[n:end], cand[:mid], below[:mid],
-             below[:n], below[n:mid], cand[:end], rows[r, :n], rows[r, n:end],
-             rows[r, :end], below[:end])
-            for r in (1, 0)
-        ]
+        # a table whose keep is all zero, as every V table's is, leaves
+        # each state's own candidate at its cost: no dense pass, unless
+        # the event bars opened states
+        keep = table.keep if opened is not None or table.keep.any() else None
+        steps[key] = (
+            keep, table.src[:taken], table.dst[:taken], table.mult[:taken], opened,
+            row[n:end], weight[:taken], row[:mid], below[:mid],
+            below[:n], below[n:mid], below[n:end], below[:end],
+        )
 
     layers = [] if trace else None
-    cost = rows[0, :n]
+    cost = row[:n]
     cost.fill(inf)
     cost[0] = 0  # the all-empty state: key 0, the smallest
     max_states = 1
     expansions = 0
-    for e, (key, length) in enumerate(zip(zip(kinds, departs), lengths)):
-        (keep, src, dst, mult, opened, own, moved, wt, counted, reached, stays,
-         goes, costs, nxt, gathered, whole, tight) = steps[key][e & 1]
-        np.multiply(keep, length, out=own)
-        own += cost
-        # "clip" clips no valid index and, unlike "raise", fills out unbuffered
+    for key, length in zip(zip(kinds, departs), lengths):
+        (keep, src, dst, mult, opened, moved, wt, counted, reached, stays, goes,
+         row_bits, bits) = steps[key]
+        # every moving candidate reads the old row before any cost of the
+        # new one is written over it; "clip" clips no valid index and,
+        # unlike "raise", fills out unbuffered
         cost.take(src, out=moved, mode="clip")
         moved += np.multiply(mult, length, out=wt)
-        # a state was reached when its own candidate is below inf; each
-        # expands once, to itself or to its opened state, and once more per
-        # moving row of the table whose source was reached
+        # a state was reached when its cost is below inf, and then so is
+        # its own candidate; each expands once, to itself or to its opened
+        # state, and once more per moving row of the table whose source was
+        # reached
         np.less(counted, inf, out=reached)
         states = np.count_nonzero(stays)
         max_states = max(max_states, states)
         expansions += states + np.count_nonzero(goes)
-        if opened is not None:
-            # every state whose row is empty opens instead of staying: its
-            # own candidate is above inf, so neither kept nor tight
-            own[opened] = barred
-        np.minimum(own, inf, out=nxt)  # an unreached state stays exactly inf
+        if keep is not None:
+            np.multiply(keep, length, out=own)
+            own += cost
+            if opened is not None:
+                # every state whose row is empty opens instead of staying:
+                # its own candidate is above inf, so neither kept nor tight
+                own[opened] = barred
+            np.minimum(own, inf_row, out=cost)  # an unreached state stays inf
+        elif trace:
+            np.copyto(own, cost)  # the own candidates, for their bits
         # one intp copy serves the scatter and the gather, which would each
         # convert int32 indices, the scatter at a slower pace
         dst = dst.astype(np.intp)
-        np.minimum.at(nxt, dst, moved)
+        np.minimum.at(cost, dst, moved)
         if trace:
             # a candidate is tight when its cost is the new row's cost at
             # its destination
-            nxt.take(dst, out=gathered, mode="clip")
-            layers.append(np.packbits(np.equal(costs, whole, out=tight)))
-        cost = nxt
+            np.equal(own, cost, out=stays)
+            cost.take(dst, out=wt, mode="clip")
+            np.equal(moved, wt, out=row_bits)
+            layers.append(np.packbits(bits))
 
     finite = cost < inf
     max_states = max(max_states, np.count_nonzero(finite))
@@ -512,11 +530,13 @@ def solve_grid(
     if trace:
         # one bit per candidate: a state's own transition, at most mult_max
         # moving rows and at most one open row out of it
-        trace_bytes = events * -(-(2 + variant.mult_max) * states // 8)
+        bits = events * -(-(2 + variant.mult_max) * states // 8)
+        trace_bytes = bits + events * _BLOCK_BYTES
         if trace_bytes > MAX_TRACE_BYTES:
             raise GuardExceeded(
                 f"trace of {events} events of {states} states needs up to "
-                f"{trace_bytes} bytes, above the limit of {MAX_TRACE_BYTES}"
+                f"{bits} bytes of bits, {trace_bytes} bytes with their arrays, "
+                f"above the limit of {MAX_TRACE_BYTES}"
             )
     tableset = get_tableset(variant, h)
     mask = accept_mask(tableset.space, grid.terminal_rows_last_col())

@@ -182,6 +182,24 @@ def test_trace_byte_guard_spares_rolling_mode(monkeypatch):
     assert solve_steiner(inst, trace=False).length == want
 
 
+def test_trace_byte_guard_counts_each_events_array(monkeypatch):
+    # tsp h=2 over 300 columns: 898 events of 3 bytes of bits each, and an
+    # ndarray and a list slot for each, which take far more than the bits
+    inst = gen_instance(300, 2, 1200, 8, 1)
+    res, _ = tables.solve_grid(tsp.TSP, build_grid(inst), trace=True)
+    block = res.layers[0]
+    assert sys.getsizeof(block) - block.nbytes + 8 <= tables._BLOCK_BYTES
+
+    def no_space(problem, h):
+        raise AssertionError("the state space was enumerated")
+
+    monkeypatch.setattr(tables, "MAX_TRACE_BYTES", 898 * 100)
+    monkeypatch.setattr(tables, "_TABLES", {})  # no cached tables to hide a call
+    monkeypatch.setattr(tables, "get_space", no_space)
+    with pytest.raises(GuardExceeded, match="needs up to 2694 bytes of bits"):
+        solve_tsp(inst, trace=True)
+
+
 def test_empty_transition_raises():
     grid = build_grid(make_instance([(0, 0), (1, 1)]))
     with pytest.raises(InternalInfeasibleError):
@@ -591,6 +609,64 @@ def test_reconstruction_raises_on_a_broken_cost_chain():
     result.layers[3] = np.packbits(block)
     with pytest.raises(InternalInfeasibleError, match="broken cost chain at layer 4"):
         reconstruct_vector(result, tableset)
+
+
+def test_no_candidate_reads_a_cost_written_in_its_own_event():
+    # chained rows 0 -> 1 -> 2 on every kind; on the H kinds states 0, 1
+    # and 2 also keep themselves at m=1, so the dense pass changes the
+    # chain's sources. Each event's candidates must read the previous
+    # layer: state 2 is two events away from state 0, never one.
+    inf = 2**30
+    chain = [(0, 1, 1), (1, 2, 1)]
+    tableset = fake_tableset({
+        ("V", 1): chain,
+        ("H", 1): chain + [(0, 0, 1), (1, 1, 1), (2, 2, 1)],
+        ("H", 2): chain + [(0, 0, 1), (1, 1, 1), (2, 2, 1)],
+    })
+    assert not tableset.get(("V", 1)).keep.any()
+    grid = build_grid(make_instance([(0, 0), (3, 1)]))
+    accept = np.array([False, False, True, False, False])
+    result = run_vector_sweep(grid, tableset, accept, mult_max=2)
+    # V 1, H 3 (departing a terminal, with no open rows), H 3, V 1
+    assert [(ev.kind, ev.length) for ev in result.events] == [
+        ("V", 1), ("H", 3), ("H", 3), ("V", 1)
+    ]
+    assert result.departs == [False, True, False, False]
+    layers = [
+        [0, inf, inf, inf, inf],
+        [0, 1, inf, inf, inf],
+        [3, 3, 4, inf, inf],
+        [6, 6, 6, inf, inf],
+        [6, 6, 6, inf, inf],
+    ]
+    want = tight_bits(layers, result.events, result.kinds, result.departs, tableset)
+    assert [block.tolist() for block in result.layers] == [b.tolist() for b in want]
+    assert result.final_layer.tolist() == layers[-1]
+    assert (result.cost, result.final_index) == (6, 2)
+    assert result.stats.max_layer_states == 3
+    # reached states plus moving rows out of them: 1 + 1, 2 + 2, 3 + 2, 3 + 2
+    assert result.stats.total_expansions == 16
+    assert reconstruct_vector(result, tableset) == [
+        (result.events[1], 1), (result.events[2], 1)
+    ]
+
+
+def test_a_departing_event_bars_its_opened_states_whatever_its_keep():
+    # every table's keep is all zero, so no event needs a dense pass to
+    # add own costs; the departing event must still stop state 0 staying,
+    # and send it through its open row into state 1 at m=1
+    inf = 2**30
+    tableset = fake_tableset(dict.fromkeys(kinds(2), []), [(0, 1, 1)])
+    assert not any(tableset.get(kind).keep.any() for kind in kinds(2))
+    grid = build_grid(make_instance([(0, 0), (3, 1)]))
+    accept = np.array([False, True, False, False, False])
+    result = run_vector_sweep(grid, tableset, accept, mult_max=2)
+    assert result.departs == [False, True, False, False]
+    layers = [[0, inf, inf, inf, inf]] * 2 + [[inf, 3, inf, inf, inf]] * 3
+    want = tight_bits(layers, result.events, result.kinds, result.departs, tableset)
+    assert [block.tolist() for block in result.layers] == [b.tolist() for b in want]
+    assert result.final_layer.tolist() == layers[-1]
+    assert reconstruct_vector(result, tableset) == [(result.events[1], 1)]
 
 
 @pytest.mark.parametrize(
