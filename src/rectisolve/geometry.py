@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -222,19 +223,34 @@ def build_grid(instance: Instance) -> HananGrid:
     )
 
 
-def edge_schedule(grid: HananGrid) -> list[EdgeEvent]:
-    """Fixed processing order: per column, verticals bottom-to-top, then
-    the horizontals to the next column bottom-to-top.
+class EdgeSchedule(Sequence):
+    """The fixed processing order of a grid's segments, as a sequence of
+    EdgeEvents that are made only when read: per column, verticals
+    bottom-to-top, then the horizontals to the next column bottom-to-top.
 
     Total event count is (h-1)*v + (v-1)*h = 2hv - h - v.
     """
-    h, v = grid.h, grid.v
-    events: list[EdgeEvent] = []
-    for j in range(1, v + 1):
-        for i in range(1, h):
-            events.append(EdgeEvent("V", i, j, grid.ys[i] - grid.ys[i - 1]))
-        if j < v:
-            dx = grid.xs[j] - grid.xs[j - 1]
-            for i in range(1, h + 1):
-                events.append(EdgeEvent("H", i, j, dx))
-    return events
+
+    def __init__(self, grid: HananGrid):
+        self.grid = grid
+        self._h = grid.h
+        self._count = 2 * grid.h * grid.v - grid.h - grid.v
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, e: int) -> EdgeEvent:
+        if e < 0:
+            e += self._count
+        if not 0 <= e < self._count:
+            raise IndexError("event index out of range")
+        grid, h = self.grid, self._h
+        col, i = divmod(e, 2 * h - 1)
+        if i < h - 1:
+            return EdgeEvent("V", i + 1, col + 1, grid.ys[i + 1] - grid.ys[i])
+        return EdgeEvent("H", i - h + 2, col + 1, grid.xs[col + 1] - grid.xs[col])
+
+
+def edge_schedule(grid: HananGrid) -> EdgeSchedule:
+    """The grid's events in sweep order (``EdgeSchedule``)."""
+    return EdgeSchedule(grid)

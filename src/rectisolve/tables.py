@@ -11,25 +11,37 @@ Each distinct event shape ("kind": a segment's orientation and row) gets a
 precomputed transition table in two parts, as in the hybrid sparse-matrix
 formats: ``keep``, an N-long int8 vector holding the multiplicity of each
 state's transition to itself, which every state has, and the moving rows,
-three equal-length arrays of source index, destination index and
-multiplicity, sorted by (destination, source, multiplicity). Of the rows a
-kernel emits for one (source, destination) pair only the one with the
-smallest multiplicity is kept: segment lengths are positive, so no other
-can win. Processing one event is one min-plus step into the next layer:
-the moving rows gather their source costs and add their weight, then a
-dense pass adds each state's own multiplicity times the segment length to
-its cost, which a table whose ``keep`` is all zero (every V table) skips,
-and the moving rows reduce into the new layer with one ``np.minimum.at``
-over the destination indices. Reconstruction breaks equal costs toward the
-smallest (source index, multiplicity) pair; sources are sorted by packed
-key, so this is the smallest (predecessor key, multiplicity) pair.
+two equal-length arrays of source and destination index. The rows are
+stored in runs of one multiplicity, sorted by (multiplicity, destination,
+source), and the table keeps each run's bounds and multiplicity in place
+of a multiplicity per row. Of the rows a kernel emits for one (source,
+destination) pair only the one with the smallest multiplicity is kept:
+segment lengths are positive, so no other can win. Processing one event is
+one min-plus step into the next layer: the moving rows gather their source
+costs, and each run of a nonzero multiplicity m adds m times the segment
+length with one scalar add (the moving rows of every H table are one run of
+m = 0, which adds nothing); then a dense pass adds each state's own
+multiplicity times the segment length to its cost, which a table whose
+``keep`` is all zero (every V table) skips, and the moving rows reduce into
+the new layer with one ``np.minimum.at`` over the destination indices.
+Reconstruction breaks equal costs toward the smallest (source index,
+multiplicity) pair; sources are sorted by packed key, so this is the
+smallest (predecessor key, multiplicity) pair.
+
+The stats take one count per event: the reached states and the moving rows
+whose source was reached, which is the event's expansions. Every state
+keeps a transition to itself, so the number of reached states can only
+fall at an event that departs a terminal; it is counted alone there, on
+the layer the event leaves, and on the final row, and the largest of these
+counts is the largest layer.
 
 Terminals are handled here alone. At a horizontal event that departs a
 terminal, a state whose row is empty may not stay: it opens a fresh
 single-row component there, at the multiplicity its opened state keeps
 itself at. An ("H", r) table lists these open rows after its moving rows,
-from ``opens`` on, sorted by destination; an event that departs a terminal
-takes them too, and any other event stops at ``opens``. The final layer
+from ``opens`` on, in runs of one multiplicity sorted by destination (one
+run in either solver); an event that departs a terminal takes them too, and
+any other event stops at ``opens``. The final layer
 accepts one component with a label on every last-column terminal row and,
 for tours, no odd row.
 
@@ -51,8 +63,8 @@ bottom, and renumbering its labels gives a state again: a permutation rho
 of the state space (``TableSet.rotation``). A segment on row r acts on a
 state as the same segment on row r + 1 acts on its rotation, so row
 r + 1's table is row r's with its sources and destinations mapped through
-rho and re-sorted, the open rows still after the moving rows, and its
-``keep`` scattered through rho.
+rho and re-sorted within each run, the open rows still after the moving
+rows, and its ``keep`` scattered through rho.
 
 Tables depend only on (variant, h), never on segment lengths or column
 positions, so they are cached with their state space, one ``TableSet`` per
@@ -65,10 +77,15 @@ the candidate's cost equals the new row's cost at its destination: a
 survivor decision of the kind a Viterbi decoder keeps (Viterbi, IEEE
 Trans. IT 1967). Reconstruction walks back from the optimum through the
 smallest (source, multiplicity) pair whose bit is set, which is the pair
-the tie order asks for. An event's bits, its states' own transitions in
-state order and then the table rows it takes in row order, are packed into
-a whole number of bytes of an array of its own; the bits and their arrays
-take at most MAX_TRACE_BYTES over all events.
+the tie order asks for. Most steps need no search of the table: when the
+state's own bit is set, no moving row into it comes from a smaller source
+(the table's ``lower`` bits, one per state) and it is not a state with a
+labeled row at an event that departs a terminal, where its open row could
+come from one, its own transition is that pair. An event's bits, its
+states' own transitions in state order and then the table rows it takes
+in row order, are packed into a whole number of bytes of an array of its
+own; the bits and their arrays take at most MAX_TRACE_BYTES over all
+events.
 
 Both solvers run the same sweep: a ``Variant`` names the state format,
 the kernel and the largest multiplicity, and ``solve_grid`` runs one on a
@@ -84,7 +101,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GuardExceeded, InternalInfeasibleError
-from .geometry import EdgeEvent, HananGrid, edge_schedule
+from .geometry import EdgeEvent, EdgeSchedule, HananGrid, edge_schedule
 from .states import EVEN, MAX_LABEL, ODD, count_states, enumerate_states, pack_states
 from .states import relabel_rows, render_row, set_label, unpack_states
 
@@ -163,18 +180,41 @@ def get_space(problem: str, h: int) -> StateSpace:
 @dataclass
 class KindTable:
     """A state's transition to itself as one dense entry, and every other
-    transition as one row, rows sorted by (dst, src, mult). One (src, dst)
-    pair has at most one row, the one with the smallest multiplicity.
+    transition as one row. One (src, dst) pair has at most one row, the
+    one with the smallest multiplicity.
 
-    An ("H", r) table's rows from ``opens`` on are its open rows, sorted by
-    dst: they send each state whose row r is empty to its opened state, in
-    place of staying, at an event that departs a terminal."""
+    The rows up to ``opens`` are the moving rows. An ("H", r) table's rows
+    from ``opens`` on are its open rows: they send each state whose row r
+    is empty to its opened state, in place of staying, at an event that
+    departs a terminal. Each of the two segments is stored as runs of one
+    multiplicity, in increasing multiplicity, each run sorted by (dst,
+    src); ``runs`` holds every run's (start, end, multiplicity) in row
+    order."""
 
     keep: np.ndarray  # int8 per state: the multiplicity to itself
     src: np.ndarray  # int32 source state index
     dst: np.ndarray  # int32 destination state index, src != dst
-    mult: np.ndarray  # int8 edges the segment gets (0, 1 or 2)
+    runs: tuple[tuple[int, int, int], ...]  # (start, end, edges the segment gets)
     opens: int  # the first open row; len(src) for a V table
+    # one bit per state, packed into uint8: whether a moving row from a
+    # smaller source enters it
+    lower: np.ndarray
+
+
+def _lower(src: np.ndarray, dst: np.ndarray, opens: int, n: int) -> np.ndarray:
+    """``KindTable.lower`` of a table's rows over n states."""
+    lower = np.zeros(n, dtype=bool)
+    lower[dst[:opens][src[:opens] < dst[:opens]]] = True
+    return np.packbits(lower)
+
+
+def _runs(mult: np.ndarray, start: int) -> tuple[tuple[int, int, int], ...]:
+    """The (start, end, multiplicity) runs of ascending multiplicities
+    whose first row is row ``start``."""
+    cuts = [0, *(np.flatnonzero(np.diff(mult)) + 1).tolist(), len(mult)]
+    return tuple(
+        (start + a, start + b, int(mult[a])) for a, b in zip(cuts, cuts[1:]) if a < b
+    )
 
 
 class TableSet:
@@ -212,19 +252,24 @@ class TableSet:
         return self._rho
 
     def _rotate(self, table: KindTable) -> KindTable:
-        """The table one row up: a row s -> d becomes rho[s] -> rho[d]."""
+        """The table one row up: a row s -> d becomes rho[s] -> rho[d], in
+        the run it was in."""
         rho = self.rotation()
         src, dst = rho[table.src], rho[table.dst]
-        # one int64 key per (dst, src) pair, unique among the moving rows and
-        # among the open rows, which N**2 puts after them; a stable sort takes
-        # the runs that rho keeps in order at a fraction of lexsort's time
+        # one int64 key per (dst, src) pair, unique within a run, which
+        # N**2 times the run's number puts after the runs before it; a
+        # stable sort takes the stretches that rho keeps in order at a
+        # fraction of lexsort's time
         n = len(rho)
         key = dst.astype(np.int64) * n + src
-        key[table.opens :] += n * n
+        for k, (a, b, _) in enumerate(table.runs):
+            key[a:b] += k * n * n
         order = np.argsort(key, kind="stable")
         keep = np.empty_like(table.keep)
         keep[rho] = table.keep
-        return KindTable(keep, src[order], dst[order], table.mult[order], table.opens)
+        src, dst = src[order], dst[order]
+        lower = _lower(src, dst, table.opens, n)
+        return KindTable(keep, src, dst, table.runs, table.opens, lower)
 
     def _build(self, kind: Kind) -> KindTable:
         space = self.space
@@ -245,6 +290,9 @@ class TableSet:
             raise _fault(what + str(kind), space.comp_mat, space.parity_mat, r)
         rows = first & ~stay
         src, dst, mult = src[rows], dst[rows], mult[rows]
+        # runs of one multiplicity, each still sorted by (dst, src)
+        order = np.argsort(mult, kind="stable")
+        src, dst, runs = src[order], dst[order], _runs(mult[order], 0)
         opens = len(src)
         if kind[0] == "H":
             # each state whose row is empty to its opened state, at the
@@ -258,11 +306,13 @@ class TableSet:
                 parity = parity_mat[empty]
                 parity[:, r] = EVEN
             opened = self._find(empty, comp, parity, _EMITTED + str(kind))
-            order = np.argsort(opened)  # one state opens into each opened state
+            # one state opens into each opened state
+            order = np.lexsort((opened, keep[opened]))
             empty, opened = empty[order], opened[order]
             src, dst = np.concatenate((src, empty)), np.concatenate((dst, opened))
-            mult = np.concatenate((mult, keep[opened]))
-        return KindTable(keep, src, dst, mult, opens)
+            runs += _runs(keep[opened], opens)
+        lower = _lower(src, dst, opens, len(keep))
+        return KindTable(keep, src, dst, runs, opens, lower)
 
     def _find(self, src, comp, parity, what: str) -> np.ndarray:
         """Each candidate's state index, in src's dtype; a candidate that is
@@ -325,7 +375,7 @@ class VectorResult:
     final_layer: np.ndarray  # the last layer's cost per state, inf if unreached
     # trace mode: each event's tight bits, packed into uint8
     layers: list[np.ndarray] | None
-    events: list[EdgeEvent]
+    events: EdgeSchedule
     kinds: list[Kind]
     departs: list[bool]  # whether each event departs a terminal
     stats: SweepStats
@@ -350,13 +400,7 @@ def run_vector_sweep(
     t0 = time.perf_counter()
     space = tableset.space
     n = len(space.keys)
-    events = edge_schedule(grid)
-    # one tuple per kind and, below, one 0-d array per length, shared by
-    # every event that has it, so that a long sweep keeps a pointer per event
-    interned: dict[Kind, Kind] = {}
-    kinds = [interned.setdefault(k, k) for k in ((ev.kind, ev.row) for ev in events)]
-    departs = [ev.kind == "H" and grid.is_terminal(ev.row, ev.col) for ev in events]
-
+    h, v = grid.h, grid.v
     dtype = _cost_dtype(grid, mult_max)
     # 0-d arrays, which a ufunc call takes faster than numpy scalars; a
     # length of the cost dtype makes the int8 multiplicities' products
@@ -364,8 +408,29 @@ def run_vector_sweep(
     # bound of _cost_dtype, inside it
     inf = np.array(2**30 if dtype is np.int32 else 2**62, dtype=dtype)
     barred = inf + dtype(1)
-    zero_d = {x: np.array(x, dtype) for x in {ev.length for ev in events}}
-    lengths = [zero_d[ev.length] for ev in events]
+    scales: dict[int, tuple] = {}
+
+    def scaled(x: int) -> tuple:
+        """m times the length x for m = 0..mult_max, as 0-d arrays."""
+        if x not in scales:
+            scales[x] = tuple(np.array(m * x, dtype) for m in range(mult_max + 1))
+        return scales[x]
+
+    # the schedule column by column, in edge_schedule's order: rows 1..h-1's
+    # verticals, then rows 1..h's horizontals to the next column. One tuple
+    # per kind and one tuple of 0-d arrays per length, shared by every event
+    # that has it, so that a long sweep keeps a pointer per event.
+    column = [("V", i) for i in range(1, h)] + [("H", i) for i in range(1, h + 1)]
+    kinds = column * (v - 1) + column[: h - 1]
+    rises = [scaled(grid.ys[i] - grid.ys[i - 1]) for i in range(1, h)]
+    departs: list[bool] = []
+    lengths: list[tuple] = []
+    for j, terminals in enumerate(zip(*grid.terminal)):
+        departs += [False] * (h - 1)
+        lengths += rises
+        if j < v - 1:
+            departs += terminals
+            lengths += [scaled(grid.xs[j + 1] - grid.xs[j])] * h
 
     # An event's candidates are every state's transition to itself, then
     # the table's rows up to ``opens`` or, at an event that departs a
@@ -373,13 +438,13 @@ def run_vector_sweep(
     # the moving candidates' costs, so that one compare finds the reached
     # states and sources. The own candidates have a buffer of their own,
     # and the new row's cost at each moving candidate's destination takes
-    # the buffer that held the rows' weights. The views into these buffers
-    # are made once per (kind, departs) pair. One bool buffer takes the
-    # reached states and then, once they are counted, the bits.
+    # a buffer of its own too. The views into these buffers are made once
+    # per (kind, departs) pair. One bool buffer takes the reached states
+    # and then, once they are counted, the bits.
     steps = {key: tableset.get(key[0]) for key in dict.fromkeys(zip(kinds, departs))}
     width = n + max((len(table.src) for table in steps.values()), default=0)
     row, below = np.empty(width, dtype), np.empty(width, bool)
-    own, weight = np.empty(n, dtype), np.empty(width - n, dtype)
+    own, gathered = np.empty(n, dtype), np.empty(width - n, dtype)
     # np.minimum clamps against a full-length operand at twice the pace of
     # a 0-d one
     inf_row = np.full(n, inf)
@@ -393,10 +458,14 @@ def run_vector_sweep(
         # each state's own candidate at its cost: no dense pass, unless
         # the event bars opened states
         keep = table.keep if opened is not None or table.keep.any() else None
+        # each taken run of a nonzero multiplicity m adds m times the length
+        # to its candidates' costs; a moving run of m = 0, as every H
+        # table's is, adds nothing
+        adds = tuple((row[n + a : n + b], m) for a, b, m in table.runs if m and a < taken)
         steps[key] = (
-            keep, table.src[:taken], table.dst[:taken], table.mult[:taken], opened,
-            row[n:end], weight[:taken], row[:mid], below[:mid],
-            below[:n], below[n:mid], below[n:end], below[:end],
+            keep, table.src[:taken], table.dst[:taken], adds, opened,
+            row[n:end], gathered[:taken], row[:mid], below[:mid],
+            below[:n], below[n:end], below[:end],
         )
 
     layers = [] if trace else None
@@ -406,23 +475,28 @@ def run_vector_sweep(
     max_states = 1
     expansions = 0
     for key, length in zip(zip(kinds, departs), lengths):
-        (keep, src, dst, mult, opened, moved, wt, counted, reached, stays, goes,
+        (keep, src, dst, adds, opened, moved, wt, counted, reached, stays,
          row_bits, bits) = steps[key]
         # every moving candidate reads the old row before any cost of the
         # new one is written over it; "clip" clips no valid index and,
         # unlike "raise", fills out unbuffered
         cost.take(src, out=moved, mode="clip")
-        moved += np.multiply(mult, length, out=wt)
+        for part, m in adds:
+            part += length[m]
         # a state was reached when its cost is below inf, and then so is
         # its own candidate; each expands once, to itself or to its opened
         # state, and once more per moving row of the table whose source was
         # reached
         np.less(counted, inf, out=reached)
-        states = np.count_nonzero(stays)
-        max_states = max(max_states, states)
-        expansions += states + np.count_nonzero(goes)
+        expansions += np.count_nonzero(reached)
+        if opened is not None:
+            # every state keeps a transition to itself, so only an event
+            # that bars opened states can leave fewer states reached than
+            # the layer before it: the largest layer is one just before
+            # such an event, or the last
+            max_states = max(max_states, np.count_nonzero(stays))
         if keep is not None:
-            np.multiply(keep, length, out=own)
+            np.multiply(keep, length[1], out=own)
             own += cost
             if opened is not None:
                 # every state whose row is empty opens instead of staying:
@@ -450,7 +524,7 @@ def run_vector_sweep(
         raise InternalInfeasibleError("no accepted state on the final layer")
     best = candidates[int(np.argmin(cost[candidates]))]
     stats = SweepStats(
-        layer_count=len(events) + 1,
+        layer_count=len(kinds) + 1,
         max_layer_states=int(max_states),  # count_nonzero gives numpy ints
         total_expansions=int(expansions),
         wall_ms=(time.perf_counter() - t0) * 1000.0,
@@ -460,11 +534,22 @@ def run_vector_sweep(
         final_index=int(best),
         final_layer=cost,
         layers=layers,
-        events=events,
+        events=edge_schedule(grid),
         kinds=kinds,
         departs=departs,
         stats=stats,
     )
+
+
+def _reader(table: KindTable, n: int) -> tuple:
+    """What reconstruction reads of a table: ``lower``, ``keep``, and for
+    the moving runs and then the open runs each run's destinations,
+    sources, first bit and multiplicity."""
+    moving, opening = [], []
+    for a, b, m in table.runs:
+        part = moving if a < table.opens else opening
+        part.append((table.dst[a:b], table.src[a:b], n + a, m))
+    return table.lower, table.keep, moving, moving + opening
 
 
 def reconstruct_vector(
@@ -476,39 +561,50 @@ def reconstruct_vector(
         raise InternalInfeasibleError("reconstruction requires trace mode")
     n = len(tableset.space.keys)
     comp_mat = tableset.space.comp_mat
+    readers: dict[Kind, tuple] = {}
     moves: list[tuple[EdgeEvent, int]] = []
     idx = result.final_index
-    for l in range(len(result.events), 0, -1):
-        event = result.events[l - 1]
-        table = tableset.get(result.kinds[l - 1])
-        searched = [(0, table.opens)]
-        if result.departs[l - 1] and comp_mat[idx, event.row - 1]:
-            # only a state with a labeled row can have been opened
-            searched.append((table.opens, len(table.src)))
+    steps = zip(
+        range(len(result.kinds), 0, -1),
+        reversed(result.kinds), reversed(result.departs), reversed(result.layers),
+    )
+    for l, kind, departs, bits in steps:
+        reader = readers.get(kind)
+        if reader is None:
+            reader = readers[kind] = _reader(tableset.get(kind), n)
+        lower, keep, moving, every = reader
+        # only a state with a labeled row can have been opened
+        opening = departs and comp_mat.item(idx, kind[1] - 1)
         # the event's bits: every state's transition to itself, then the
         # table's rows; np.packbits puts bit j at 7 - j % 8 of byte j // 8,
-        # counted from the low end. item(), unlike a memoryview, leaves no
-        # buffer record on the array.
-        bits = result.layers[l - 1]
-        found = []
-        if bits.item(idx >> 3) >> (~idx & 7) & 1:
-            found.append((idx, int(table.keep[idx])))
-        # int32 keys, as int64 ones would make searchsorted cast all of dst
-        keys = np.array((idx, idx + 1), dtype=np.int32)
-        for lo, hi in searched:
-            a, b = table.dst[lo:hi].searchsorted(keys).tolist()
-            if a < b:
-                a, b = a + lo, b + lo
-                j = n + a
-                for s, m in zip(table.src[a:b].tolist(), table.mult[a:b].tolist()):
+        # counted from the low end, as it does ``lower``'s. item(), unlike a
+        # memoryview, leaves no buffer record on the array.
+        byte, shift = idx >> 3, ~idx & 7
+        tight = bits.item(byte) >> shift & 1
+        if tight and not opening and not lower.item(byte) >> shift & 1:
+            # no row taken into the state has a smaller source than the
+            # state itself, so its own tight transition comes first in tie
+            # order
+            m = keep.item(idx)
+        else:
+            found = [(idx, keep.item(idx))] if tight else []
+            # int32 keys, as int64 ones would make searchsorted cast all of dst
+            keys = np.array((idx, idx + 1), dtype=np.int32)
+            for dst, src, first, m in every if opening else moving:
+                a, b = dst.searchsorted(keys).tolist()
+                j = first + a
+                # a run's rows into the state are in source order, so its
+                # first tight one is its smallest
+                for s in src[a:b].tolist():
                     if bits.item(j >> 3) >> (~j & 7) & 1:
                         found.append((s, m))
+                        break
                     j += 1
-        if not found:
-            raise InternalInfeasibleError(f"broken cost chain at layer {l}")
-        idx, m = min(found)  # tie order
+            if not found:
+                raise InternalInfeasibleError(f"broken cost chain at layer {l}")
+            idx, m = min(found)  # tie order
         if m:
-            moves.append((event, m))
+            moves.append((result.events[l - 1], m))
     moves.reverse()
     return moves
 

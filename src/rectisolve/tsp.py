@@ -157,39 +157,48 @@ def orient_tour(subgraph: Subgraph, instance: Instance) -> Tour:
         if len(instance.points) == 1:
             return (instance.points[0],)
         raise NotEulerianError("empty subgraph cannot be oriented")
-    adjacency: dict[Point, list[tuple[Point, int]]] = {}
-    eid = 0
+    # each vertex once, by index; edge copy k joins ends[2k] and ends[2k + 1],
+    # and each vertex lists the ids of the copies at it
+    index: dict[Point, int] = {}
+    ends: list[int] = []
     for e in subgraph.edges:
-        for _ in range(e.mult):
-            adjacency.setdefault(e.p1, []).append((e.p2, eid))
-            adjacency.setdefault(e.p2, []).append((e.p1, eid))
-            eid += 1
-    for p, nbrs in adjacency.items():
-        if len(nbrs) % 2:
-            raise NotEulerianError(f"odd degree at {p}")
-        nbrs.sort(key=lambda t: (t[0].y, t[0].x, t[1]))
+        a, b = index.setdefault(e.p1, len(index)), index.setdefault(e.p2, len(index))
+        ends += (a, b) * e.mult
+    points = list(index)
+    adjacency: list[list[int]] = [[] for _ in points]
+    for k in range(len(ends) // 2):
+        adjacency[ends[2 * k]].append(k)
+        adjacency[ends[2 * k + 1]].append(k)
+    # copies in (y, x) order of their other end, ends[2k] + ends[2k + 1] - v,
+    # then by id
+    for v, ids in enumerate(adjacency):
+        if len(ids) % 2:
+            raise NotEulerianError(f"odd degree at {points[v]}")
+        ids.sort(key=lambda k: ((p := points[ends[2 * k] + ends[2 * k + 1] - v]).y, p.x, k))
     start = min(instance.points, key=lambda p: (p.y, p.x))
-    if start not in adjacency:
+    if start not in index:
         raise NotEulerianError(f"terminal {start} not on the subgraph")
 
-    used = [False] * eid
-    position = {p: 0 for p in adjacency}
-    stack = [start]
+    used = bytearray(len(ends) // 2)
+    position = [0] * len(points)
+    stack = [index[start]]
     path: list[Point] = []
     while stack:
         v = stack[-1]
-        nbrs = adjacency[v]
+        ids = adjacency[v]
         k = position[v]
-        while k < len(nbrs) and used[nbrs[k][1]]:
+        while k < len(ids) and used[ids[k]]:
             k += 1
         position[v] = k
-        if k == len(nbrs):
-            path.append(stack.pop())
+        if k == len(ids):
+            path.append(points[stack.pop()])
         else:
-            u, edge_id = nbrs[k]
-            used[edge_id] = True
-            stack.append(u)
-    if len(path) != eid + 1:
+            edge = ids[k]
+            used[edge] = 1
+            # the other end's own index object, so the stack makes no ints
+            a = ends[2 * edge]
+            stack.append(ends[2 * edge + 1] if a == v else a)
+    if len(path) != len(used) + 1:
         raise NotEulerianError("subgraph is disconnected")
     path.reverse()
     return tuple(path)

@@ -156,12 +156,17 @@ class TestEdgeSchedule:
 
     def test_two_by_two_order(self):
         g = build_grid(make_instance([(0, 0), (1, 1)]))
-        assert edge_schedule(g) == [
+        assert list(edge_schedule(g)) == [
             EdgeEvent("V", 1, 1, 1),
             EdgeEvent("H", 1, 1, 1),
             EdgeEvent("H", 2, 1, 1),
             EdgeEvent("V", 1, 2, 1),
         ]
+        # each event is made when read, from either end
+        events = edge_schedule(g)
+        assert events[-1] == events[3] and events[-4] == events[0]
+        with pytest.raises(IndexError):
+            events[4]
 
     def test_count_formula(self):
         rng = random.Random(11)

@@ -219,6 +219,29 @@ def kinds(h):
 TABLE_CASES = [("tsp", h) for h in range(1, 7)] + [("steiner", h) for h in range(1, 9)]
 
 
+def row_mults(table):
+    """Each row's multiplicity, as an int8 array read from the table's runs."""
+    mult = np.zeros(len(table.src), dtype=np.int8)
+    for a, b, m in table.runs:
+        mult[a:b] = m
+    return mult
+
+
+def assert_runs(table, kind):
+    """The runs cover the rows in order, split at ``opens``; each segment's
+    runs rise in multiplicity, and each run is sorted by (dst, src)."""
+    starts = [a for a, _, _ in table.runs]
+    ends = [b for _, b, _ in table.runs]
+    assert starts == [0] + ends[:-1] and ends[-1:] in ([], [len(table.src)]), kind
+    assert table.opens in [0, len(table.src), *starts], kind
+    for segment in ((0, table.opens), (table.opens, len(table.src))):
+        mults = [m for a, _, m in table.runs if segment[0] <= a < segment[1]]
+        assert mults == sorted(set(mults)), kind
+    for a, b, _ in table.runs:
+        key = table.dst[a:b].astype(np.int64) * len(table.keep) + table.src[a:b]
+        assert (np.diff(key) > 0).all(), kind
+
+
 def expand_rows(table, departs=False):
     """A split table as plain rows, each state's row to itself included,
     sorted by (dst, src, mult). Its open rows are left out, or, as at an
@@ -228,7 +251,7 @@ def expand_rows(table, departs=False):
     end = len(table.src) if departs else table.opens
     if departs:
         own = np.setdiff1d(own, table.src[table.opens :]).astype(np.int32)
-    parts = [(table.src[:end], table.dst[:end], table.mult[:end])]
+    parts = [(table.src[:end], table.dst[:end], row_mults(table)[:end])]
     parts.append((own, own, table.keep[own]))
     src, dst, mult = (np.concatenate(arrays) for arrays in zip(*parts))
     order = np.lexsort((mult, src, dst))
@@ -262,6 +285,7 @@ def test_tables_match_reference_builder(problem, h):
         got = tableset.get(kind)
         assert got.keep.dtype == np.int8 and len(got.keep) == len(keys), kind
         assert not (got.src == got.dst).any(), kind
+        assert_runs(got, kind)
         # the reference builder's H kinds carry the departing vertex's
         # terminal flag; the package's table up to its open rows is the
         # non-terminal one, and with them the terminal one
@@ -272,6 +296,9 @@ def test_tables_match_reference_builder(problem, h):
             continue
         row = kind[1]
         opened = slice(got.opens, None)
+        # one run: an opened state keeps itself at the one multiplicity its
+        # opened row has
+        assert len(np.unique(row_mults(got)[opened])) <= 1, kind
         assert (np.diff(got.dst[opened]) > 0).all()
         assert np.array_equal(
             np.sort(got.src[opened]), np.flatnonzero(space.comp_mat[:, row - 1] == 0)
@@ -342,8 +369,8 @@ def test_derived_tables_match_kernel_builds(problem, h):
     derived, direct = TableSet(space, counted), TableSet(space, KERNELS[problem])
     for kind in kinds(h):
         got, want = derived.get(kind), direct._build(kind)
-        assert got.opens == want.opens, kind
-        for name in ("keep", "src", "dst", "mult"):
+        assert (got.opens, got.runs) == (want.opens, want.runs), kind
+        for name in ("keep", "src", "dst", "lower"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (kind, name)
     assert called == [("V", 1), ("H", 1)]
@@ -380,15 +407,16 @@ def fake_tableset(rows_by_kind, opens=()):
         return src, space.comp_mat[dst], None, mult.astype(np.int8)
 
     tableset = TableSet(space, kernel)
-    tail = np.array(opens, dtype=int).reshape(-1, 3).T
+    tail = np.array(opens, dtype=np.int32).reshape(-1, 3)
+    tail = tail[np.lexsort((tail[:, 1], tail[:, 2]))]  # runs by (mult, dst)
     for kind in rows_by_kind:
         table = tableset._build(kind)
         cut = table.opens
-        src, dst, mult = (
-            np.concatenate((a[:cut], b.astype(a.dtype)))
-            for a, b in zip((table.src, table.dst, table.mult), tail)
-        )
-        tableset.tables[kind] = KindTable(table.keep, src, dst, mult, cut)
+        src = np.concatenate((table.src[:cut], tail[:, 0]))
+        dst = np.concatenate((table.dst[:cut], tail[:, 1]))
+        moving = tuple(run for run in table.runs if run[0] < cut)
+        runs = moving + tables._runs(tail[:, 2], cut)
+        tableset.tables[kind] = KindTable(table.keep, src, dst, runs, cut, table.lower)
     return tableset
 
 
@@ -406,7 +434,8 @@ def tight_bits(layers, events, kinds, departs, tableset):
         prev, cur = np.asarray(prev, np.int64), np.asarray(cur, np.int64)
         table = tableset.get(kind)
         end = len(table.src) if opens else table.opens
-        rows = [(own, own, table.keep), (table.src[:end], table.dst[:end], table.mult[:end])]
+        mult = row_mults(table)
+        rows = [(own, own, table.keep), (table.src[:end], table.dst[:end], mult[:end])]
         flags = np.concatenate(
             [prev[s] + m.astype(np.int64) * event.length == cur[d] for s, d, m in rows]
         )
@@ -440,7 +469,7 @@ def test_reconstruction_breaks_ties_by_source_then_multiplicity():
     })
     assert np.array_equal(tableset.get("join").src, [1, 2])
     dup = tableset.get("dup")  # each pair is stored once, with multiplicity 1
-    assert (dup.src.tolist(), dup.dst.tolist(), dup.mult.tolist()) == ([0], [1], [1])
+    assert (dup.src.tolist(), dup.dst.tolist(), dup.runs) == ([0], [1], ((0, 1, 1),))
     assert dup.keep.tolist() == [0, 0, 0, 1, 0]
     spread, join = EdgeEvent("V", 1, 1, 5), EdgeEvent("V", 1, 2, 5)
     layers = [
@@ -476,7 +505,7 @@ def test_reconstruction_tries_the_open_row_in_source_order():
     # m=1 and has no row to itself; state 1 also keeps itself, and is
     # reached from source 2 with m=0
     inf = 2**30
-    tableset = fake_tableset({"open": [(2, 1, 0), (3, 0, 0), (0, 0, 1)]}, [(0, 1, 1)])
+    tableset = fake_tableset({("H", 1): [(2, 1, 0), (3, 0, 0), (0, 0, 1)]}, [(0, 1, 1)])
     depart = EdgeEvent("H", 1, 1, 2)
     for idx, before, after, want in (
         # all three rows into state 1 cost 5: the open row, from source 0, wins
@@ -486,8 +515,42 @@ def test_reconstruction_tries_the_open_row_in_source_order():
         (0, [2, inf, inf, 4, inf], [4, 4, inf, 4, inf], []),
     ):
         layers = [np.array(before), np.array(after)]
-        result = traced(tableset, 5, idx, layers, [depart], ["open"], [True])
+        result = traced(tableset, 5, idx, layers, [depart], [("H", 1)], [True])
         assert reconstruct_vector(result, tableset) == want
+
+
+def test_own_tight_step_yields_to_a_tight_row_from_a_smaller_source():
+    # state 2 keeps itself with m=1 and is entered from sources 1 and 3 with
+    # m=0; reconstruction settles a step on the state's own bit alone only
+    # when no moving row into it has a smaller source
+    inf = 2**30
+    tableset = fake_tableset({"enter": [(1, 2, 0), (3, 2, 0), (2, 2, 1)]})
+    step = EdgeEvent("V", 1, 1, 2)
+    after = np.array([inf, inf, 7, inf, inf])
+    for before, want in (
+        ([inf, 7, 5, 9, inf], []),  # own and source 1 both cost 7: source 1
+        ([inf, 8, 5, 9, inf], [(step, 1)]),  # source 1 is not tight: own
+    ):
+        layers = [np.array(before), after]
+        result = traced(tableset, 7, 2, layers, [step], ["enter"], [False])
+        assert reconstruct_vector(result, tableset) == want
+    lower = np.unpackbits(tableset.get("enter").lower, count=5)
+    assert lower.tolist() == [0, 0, 1, 0, 0]
+
+
+def test_departing_step_takes_the_open_row_into_a_labeled_state():
+    # at an event that departs a terminal on row 1, state 2 (0,1) opens into
+    # state 4 (1,2) at m=1, and state 4, whose row 1 is labeled, keeps itself
+    # at m=0 with no moving row into it: both cost 5, and the open row's
+    # smaller source wins although the own bit is set
+    inf = 2**30
+    tableset = fake_tableset({("H", 1): []}, [(2, 4, 1)])
+    assert not tableset.get(("H", 1)).keep.any()
+    depart = EdgeEvent("H", 1, 1, 2)
+    layers = [np.array([inf, inf, 3, inf, 5]), np.array([inf, inf, inf, inf, 5])]
+    result = traced(tableset, 5, 4, layers, [depart], [("H", 1)], [True])
+    assert np.unpackbits(result.layers[0])[4]  # state 4's own transition is tight
+    assert reconstruct_vector(result, tableset) == [(depart, 1)]
 
 
 REFERENCE_SWEEPS = {
@@ -527,8 +590,14 @@ def test_layers_match_reference_sweep(problem):
         assert len(got.layers) == len(blocks)
         for e, (a, b) in enumerate(zip(got.layers, blocks)):
             assert a.dtype == np.uint8 and a.tolist() == b.tolist(), e
-        # one tuple per kind, shared by its events
+        # one tuple per kind, shared by its events, built column by column in
+        # the order of edge_schedule
         assert len(set(map(id, got.kinds))) <= 2 * grid.h - 1
+        events = list(edge_schedule(grid))
+        assert got.kinds == [(ev.kind, ev.row) for ev in events]
+        assert got.departs == [
+            ev.kind == "H" and grid.is_terminal(ev.row, ev.col) for ev in events
+        ]
         assert got.final_layer.tolist() == layers[-1]
         assert got.stats.max_layer_states == want.stats.max_layer_states
         assert type(got.stats.max_layer_states) is int  # JSON-serialisable
