@@ -25,7 +25,6 @@ from .solution import (
     Subgraph,
     format_solution,
     parse_solution,
-    resolve_edges,
 )
 from .states import count_states, enumerate_states, render_row, unpack_states
 from .steiner import SteinerSolution, solve_steiner
@@ -58,7 +57,6 @@ __all__ = [
     "parse_solution",
     "render_row",
     "render_svg",
-    "resolve_edges",
     "solve_steiner",
     "solve_tsp",
     "unpack_states",

@@ -13,7 +13,7 @@ from .errors import GuardExceeded, InputError, InternalInfeasibleError
 from .generate import gen_instance
 from .geometry import parse_instance, write_instance
 from .render import render_svg
-from .solution import format_solution, parse_solution, resolve_edges
+from .solution import format_solution, parse_solution
 from .states import count_states, enumerate_states, render_row, unpack_states
 from .steiner import solve_steiner
 from .tsp import solve_tsp
@@ -112,10 +112,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_render(args) -> int:
     instance = _load_instance(args)
-    edges = None
-    if args.solution:
-        _, raw = parse_solution(_read_text(args.solution))
-        edges = resolve_edges(instance, raw)
+    edges = parse_solution(_read_text(args.solution))[1] if args.solution else None
     _write_text(args.svg, render_svg(instance, edges))
     return 0
 

@@ -3,15 +3,15 @@
 Output is plain SVG 1.1 assembled by string formatting with fixed number
 formats, so a given (instance, edges) pair always produces identical
 bytes. Grid lines are light gray, terminals are filled circles, solution
-edges solid strokes; a doubled edge is drawn as two parallel strokes
-offset perpendicular to its direction.
+edges (placed by row and column) solid strokes; a doubled edge is drawn as
+two parallel strokes offset perpendicular to its direction.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
 from .geometry import Instance
-from .solution import SolutionEdge
+from .solution import SolutionEdge, edge_ends, grid_axes
 
 _MARGIN = 24.0
 _TARGET = 640.0
@@ -20,13 +20,11 @@ _EDGE_STYLE = 'stroke="#1f77b4" stroke-width="3" stroke-linecap="round"'
 
 
 def render_svg(instance: Instance, edges: list[SolutionEdge] | None = None) -> str:
-    xs = sorted({p.x for p in instance.points})
-    ys = sorted({p.y for p in instance.points})
-    xset, yset = set(xs), set(ys)
-    for e in edges or []:
-        for p in (e.p1, e.p2):
-            if p.x not in xset or p.y not in yset:
-                raise InputError(f"edge endpoint {p} is not a grid vertex")
+    """The instance and its edges as SVG; raises InputError at an edge off
+    the grid."""
+    xs, ys = grid_axes(instance)
+    edges = edges or []
+    edge_ends(edges, xs, ys, InputError)
 
     span = max(xs[-1] - xs[0], ys[-1] - ys[0], 1)
     scale = _TARGET / span
@@ -56,15 +54,14 @@ def render_svg(instance: Instance, edges: list[SolutionEdge] | None = None) -> s
             f'<line x1="{sx(xs[0]):.2f}" y1="{sy(y):.2f}" '
             f'x2="{sx(xs[-1]):.2f}" y2="{sy(y):.2f}" {_GRID_STYLE}/>'
         )
-    for e in edges or []:
-        offsets = (0.0,) if e.mult == 1 else (-2.0, 2.0)
-        horizontal = e.p1.y == e.p2.y
-        for off in offsets:
-            dx, dy = (0.0, off) if horizontal else (off, 0.0)
+    for kind, row, col, mult in edges:
+        x1, y1 = sx(xs[col - 1]), sy(ys[row - 1])
+        x2, y2 = (x1, sy(ys[row])) if kind == "V" else (sx(xs[col]), y1)
+        for off in (0.0,) if mult == 1 else (-2.0, 2.0):
+            dx, dy = (off, 0.0) if kind == "V" else (0.0, off)
             parts.append(
-                f'<line x1="{sx(e.p1.x) + dx:.2f}" y1="{sy(e.p1.y) + dy:.2f}" '
-                f'x2="{sx(e.p2.x) + dx:.2f}" y2="{sy(e.p2.y) + dy:.2f}" '
-                f"{_EDGE_STYLE}/>"
+                f'<line x1="{x1 + dx:.2f}" y1="{y1 + dy:.2f}" '
+                f'x2="{x2 + dx:.2f}" y2="{y2 + dy:.2f}" {_EDGE_STYLE}/>'
             )
     for p in instance.points:
         parts.append(

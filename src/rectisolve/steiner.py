@@ -13,9 +13,10 @@ segment: skip or take. Filtering:
 Final layer (``tables.accept_mask``): every last-column terminal labeled,
 all labels equal.
 
-In trace mode the tree is a ``solution.Subgraph`` that holds the sweep's
-optimum as its length, checked by ``validate_steiner_tree``
-(``solution.check_subgraph`` with single edges, plus no cycle).
+In trace mode the tree is a ``solution.Subgraph`` of named grid segments
+that holds the sweep's optimum as its length, checked on grid indices by
+``validate_steiner_tree`` (``solution.check_subgraph`` with single edges,
+plus no cycle).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import InternalInfeasibleError
 from .geometry import Instance, build_grid
-from .solution import Subgraph, UnionFind, check_subgraph, edges_from_moves
+from .solution import Subgraph, check_subgraph, edges_from_moves
 from .states import join_rows, set_label
 from . import tables as tables_mod
 from .tables import SweepStats
@@ -100,8 +101,7 @@ def solve_steiner(instance: Instance, *, trace: bool = True) -> SteinerSolution:
 def validate_steiner_tree(tree: Subgraph, instance: Instance):
     """The shared solution checks with single edges only, and no cycle;
     raises on any violation."""
-    check_subgraph(tree, instance, 1, "steiner tree")
-    uf = UnionFind()
-    for e in tree.edges:
-        if not uf.union(e.p1, e.p2):
-            raise InternalInfeasibleError(f"cycle through {e.p1}-{e.p2}")
+    degree = check_subgraph(tree, instance, 1, "steiner tree")
+    # connected, so a tree exactly when it spans one vertex more than its edges
+    if tree.edges and len(tree.edges) != len(degree) - degree.count(0) - 1:
+        raise InternalInfeasibleError("steiner tree has a cycle")

@@ -15,21 +15,23 @@ of any segment. Feasibility is enforced where it becomes decidable:
 * the final layer must hold a single component, with no odd row and a
   label on every last-column terminal row (``tables.accept_mask``).
 
-In trace mode the optimal subgraph is a ``solution.Subgraph`` that holds
-the sweep's optimum as its length. It is checked by
-``validate_tour_subgraph`` (``solution.check_subgraph`` plus even degrees)
-and oriented into a closed walk by Hierholzer's algorithm.
+In trace mode the optimal subgraph is a ``solution.Subgraph`` of named grid
+segments that holds the sweep's optimum as its length. It is checked on
+grid indices by ``validate_tour_subgraph`` (``solution.check_subgraph`` plus
+even degrees) and oriented into a closed walk by Hierholzer's algorithm.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalInfeasibleError, NotEulerianError
 from .geometry import Instance, Point, build_grid, l1
-from .solution import Subgraph, check_subgraph, edges_from_moves
+from .solution import Subgraph, check_subgraph, edge_ends, edges_from_moves
+from .solution import grid_axes, vertex
 from .states import EVEN, ODD, ZERO, join_rows, set_label
 from . import tables as tables_mod
 from .tables import SweepStats
@@ -140,14 +142,10 @@ def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
 def validate_tour_subgraph(subgraph: Subgraph, instance: Instance):
     """The shared solution checks with multiplicities up to 2, and an even
     degree at every vertex; raises on any violation."""
-    check_subgraph(subgraph, instance, 2, "tour subgraph")
-    degree: dict[Point, int] = {}
-    for e in subgraph.edges:
-        degree[e.p1] = degree.get(e.p1, 0) + e.mult
-        degree[e.p2] = degree.get(e.p2, 0) + e.mult
-    odd = [p for p, d in degree.items() if d % 2]
+    degree = check_subgraph(subgraph, instance, 2, "tour subgraph")
+    odd = [v for v, d in enumerate(degree) if d % 2]
     if odd:
-        raise InternalInfeasibleError(f"odd degree at {odd[:3]}")
+        raise InternalInfeasibleError(f"odd degree at grid vertices {odd[:3]}")
 
 
 def orient_tour(subgraph: Subgraph, instance: Instance) -> Tour:
@@ -157,32 +155,37 @@ def orient_tour(subgraph: Subgraph, instance: Instance) -> Tour:
         if len(instance.points) == 1:
             return (instance.points[0],)
         raise NotEulerianError("empty subgraph cannot be oriented")
-    # each vertex once, by index; edge copy k joins ends[2k] and ends[2k + 1],
-    # and each vertex lists the ids of the copies at it
-    index: dict[Point, int] = {}
+    xs, ys = grid_axes(instance)
+    pairs = edge_ends(subgraph.edges, xs, ys, NotEulerianError)
+    # each vertex once, by index into ``grid``, its grid index; edge copy k
+    # joins ends[2k] and ends[2k + 1], and each vertex lists the copies at it
+    index: dict[int, int] = {}
     ends: list[int] = []
-    for e in subgraph.edges:
-        a, b = index.setdefault(e.p1, len(index)), index.setdefault(e.p2, len(index))
+    it = iter(pairs)
+    for e, a, b in zip(subgraph.edges, it, it):
+        a, b = index.setdefault(a, len(index)), index.setdefault(b, len(index))
         ends += (a, b) * e.mult
-    points = list(index)
-    adjacency: list[list[int]] = [[] for _ in points]
+    del pairs, it  # the ints that ``index`` does not keep
+    grid = list(index)
+    adjacency: list[list[int]] = [[] for _ in grid]
     for k in range(len(ends) // 2):
         adjacency[ends[2 * k]].append(k)
         adjacency[ends[2 * k + 1]].append(k)
-    # copies in (y, x) order of their other end, ends[2k] + ends[2k + 1] - v,
-    # then by id
+    # copies in grid-index, so (y, x), order of their other end, ends[2k] +
+    # ends[2k + 1] - v, then by id, as the lists are in id order
     for v, ids in enumerate(adjacency):
         if len(ids) % 2:
-            raise NotEulerianError(f"odd degree at {points[v]}")
-        ids.sort(key=lambda k: ((p := points[ends[2 * k] + ends[2 * k + 1] - v]).y, p.x, k))
+            raise NotEulerianError(f"odd degree at grid vertex {grid[v]}")
+        ids.sort(key=lambda k: grid[ends[2 * k] + ends[2 * k + 1] - v])
     start = min(instance.points, key=lambda p: (p.y, p.x))
-    if start not in index:
+    first = index.get(vertex(xs, 1, bisect_left(xs, start.x) + 1))  # the lowest row
+    if first is None:
         raise NotEulerianError(f"terminal {start} not on the subgraph")
 
     used = bytearray(len(ends) // 2)
-    position = [0] * len(points)
-    stack = [index[start]]
-    path: list[Point] = []
+    position = [0] * len(grid)
+    stack = [first]
+    path: list[int] = []
     while stack:
         v = stack[-1]
         ids = adjacency[v]
@@ -191,7 +194,7 @@ def orient_tour(subgraph: Subgraph, instance: Instance) -> Tour:
             k += 1
         position[v] = k
         if k == len(ids):
-            path.append(points[stack.pop()])
+            path.append(stack.pop())
         else:
             edge = ids[k]
             used[edge] = 1
@@ -200,5 +203,6 @@ def orient_tour(subgraph: Subgraph, instance: Instance) -> Tour:
             stack.append(ends[2 * edge + 1] if a == v else a)
     if len(path) != len(used) + 1:
         raise NotEulerianError("subgraph is disconnected")
-    path.reverse()
-    return tuple(path)
+    del index, ends, adjacency, position  # freed before the walk's points are made
+    w = len(xs)
+    return tuple(Point(xs[(g := grid[v]) % w], ys[g // w]) for v in reversed(path))

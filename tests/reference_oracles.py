@@ -8,6 +8,8 @@ rectilinear Steiner tree lies on the Hanan grid, so the finite oracle is
 exact). ``steiner_exhaustive`` validates the tree oracle on tiny grids,
 and ``l1_mst`` brackets it. ``super_catalan`` and ``catalan`` are the
 sequences whose binomial transforms count the frontier states.
+``segment_points`` and ``UnionFind`` let the tests replay a solution's
+invariants on coordinates, apart from the package's own index checks.
 """
 
 from __future__ import annotations
@@ -18,13 +20,50 @@ from math import comb
 import numpy as np
 
 from rectisolve.errors import GuardExceeded, InputError
-from rectisolve.geometry import Instance, build_grid, l1
+from rectisolve.geometry import Instance, Point, build_grid, l1
 
 MAX_BRUTE_POINTS = 10
 MAX_ORACLE_TERMINALS = 10
 MAX_ORACLE_GRID = 400
 
 _INF = np.int64(2**31)
+
+
+def segment_points(instance: Instance, edges) -> list[tuple[Point, Point]]:
+    """The two end points of each solution edge, read from its (kind, row,
+    col) along the instance's sorted distinct xs and ys."""
+    xs = sorted({p.x for p in instance.points})
+    ys = sorted({p.y for p in instance.points})
+    ends = []
+    for kind, row, col, _ in edges:
+        assert kind in ("V", "H") and row >= 1 and col >= 1
+        x, y = xs[col - 1], ys[row - 1]
+        ends.append((Point(x, y), Point(x, ys[row]) if kind == "V" else Point(xs[col], y)))
+    return ends
+
+
+class UnionFind:
+    """Connectivity over any hashable vertices."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a, b) -> bool:
+        """Merge; returns False when a and b were already connected."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
 
 
 def distance_matrix(instance: Instance) -> np.ndarray:

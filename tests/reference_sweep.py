@@ -29,7 +29,7 @@ import numpy as np
 
 from rectisolve.errors import InternalInfeasibleError
 from rectisolve.geometry import EdgeEvent, HananGrid, Instance, build_grid, edge_schedule
-from rectisolve.solution import Subgraph, edges_from_moves, total_edge_length
+from rectisolve.solution import Subgraph, edges_from_moves
 from rectisolve.states import EVEN, ODD, ZERO
 from rectisolve.steiner import SteinerSolution, validate_steiner_tree
 from rectisolve.tables import Kind, StateSpace, SweepStats
@@ -419,8 +419,7 @@ def solve_tsp_reference(instance: Instance) -> TspSolution:
         on_state=check_canonical,
     )
     edges = edges_from_moves(grid, reconstruct(res.trace, res.final_key))
-    subgraph = Subgraph(tuple(edges), total_edge_length(edges))
-    assert subgraph.total_length == res.cost
+    subgraph = Subgraph(tuple(edges), res.cost)
     validate_tour_subgraph(subgraph, instance)
     return TspSolution(res.cost, subgraph, orient_tour(subgraph, instance), res.stats)
 
@@ -437,7 +436,6 @@ def solve_steiner_reference(instance: Instance) -> SteinerSolution:
         on_state=check_canonical,
     )
     edges = edges_from_moves(grid, reconstruct(res.trace, res.final_key))
-    tree = Subgraph(tuple(edges), total_edge_length(edges))
-    assert tree.total_length == res.cost
+    tree = Subgraph(tuple(edges), res.cost)
     validate_steiner_tree(tree, instance)
     return SteinerSolution(res.cost, tree, res.stats)

@@ -10,12 +10,17 @@ import time
 
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import build_grid, l1, make_instance
-from rectisolve.solution import UnionFind
 from rectisolve.states import count_states, enumerate_states, unpack_states
 from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
 
-from reference_oracles import steiner_oracle, super_catalan, tsp_bruteforce
+from reference_oracles import (
+    UnionFind,
+    segment_points,
+    steiner_oracle,
+    super_catalan,
+    tsp_bruteforce,
+)
 from reference_states import (
     canonicalize_steiner,
     canonicalize_tsp,
@@ -163,28 +168,31 @@ def test_criterion_6_solution_validity():
         # independent replay of the tour-subgraph conditions
         degree = {}
         uf = UnionFind()
-        for e in sol.subgraph.edges:
+        edges = sol.subgraph.edges
+        ends = segment_points(inst, edges)
+        for e, (p, q) in zip(edges, ends):
             assert e.mult in (1, 2)
-            degree[e.p1] = degree.get(e.p1, 0) + e.mult
-            degree[e.p2] = degree.get(e.p2, 0) + e.mult
-            uf.union(e.p1, e.p2)
+            degree[p] = degree.get(p, 0) + e.mult
+            degree[q] = degree.get(q, 0) + e.mult
+            uf.union(p, q)
         assert all(d % 2 == 0 for d in degree.values())
         assert all(p in degree for p in inst.points)
         assert len({uf.find(p) for p in degree}) == 1
-        assert sum(e.mult * l1(e.p1, e.p2) for e in sol.subgraph.edges) == sol.length
+        assert sum(e.mult * l1(p, q) for e, (p, q) in zip(edges, ends)) == sol.length
         walked = sum(l1(a, b) for a, b in zip(sol.tour, sol.tour[1:]))
         assert walked == sol.length and sol.tour[0] == sol.tour[-1]
 
         st = solve_steiner(inst)
         uf = UnionFind()
         touched = set()
-        for e in st.tree.edges:
+        ends = segment_points(inst, st.tree.edges)
+        for e, (p, q) in zip(st.tree.edges, ends):
             assert e.mult == 1
-            assert uf.union(e.p1, e.p2)  # acyclic
-            touched.update((e.p1, e.p2))
+            assert uf.union(p, q)  # acyclic
+            touched.update((p, q))
         assert all(p in touched for p in inst.points)
         assert len({uf.find(p) for p in touched}) == 1
-        assert sum(l1(e.p1, e.p2) for e in st.tree.edges) == st.length
+        assert sum(l1(p, q) for p, q in ends) == st.length
     report(6, "30 tour subgraphs and 30 trees replay-validated")
 
 

@@ -180,6 +180,31 @@ def test_render_malformed_solution_exits_2(tmp_path, capsys, text, lineno):
     assert f"solution line {lineno}: cannot parse" in err
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ("V 0 1 1", "edge V 0 1 is not on the instance grid"),
+        ("H 1 -1 1", "edge H 1 -1 is not on the instance grid"),
+        ("V 2 1 1", "edge V 2 1 is not on the instance grid"),  # SQUARE has 2 rows
+        ("H 1 2 1", "edge H 1 2 is not on the instance grid"),  # and 2 columns
+        ("H 1 1 3", "solution line 2: multiplicity 3 not 1 or 2"),
+        ("H 1 1 0", "solution line 2: multiplicity 0 not 1 or 2"),
+    ],
+)
+def test_render_refuses_an_edge_off_the_grid_or_of_bad_multiplicity(
+    tmp_path, capsys, edge, message
+):
+    inst = write_instance_file(tmp_path, SQUARE)
+    sol = tmp_path / "sol.txt"
+    sol.write_text(f"length 10\n{edge}\n")
+    code, _, err = run(
+        capsys, "render", "--input", inst, "--solution", str(sol),
+        "--svg", str(tmp_path / "sol.svg"),
+    )
+    assert code == 2
+    assert message in err
+
+
 def test_huge_coordinate_exits_2(tmp_path, capsys):
     inst = write_instance_file(tmp_path, "2\n0 0\n" + "7" * 5000 + " 1\n")
     code, _, err = run(capsys, "solve-tsp", "--input", inst)

@@ -2,11 +2,10 @@ import random
 
 from rectisolve.generate import gen_instance
 from rectisolve.geometry import EdgeEvent, build_grid, make_instance
-from rectisolve.solution import UnionFind
 from rectisolve.steiner import solve_steiner
 from rectisolve.tsp import solve_tsp
 
-from reference_oracles import steiner_oracle
+from reference_oracles import UnionFind, segment_points, steiner_oracle
 from reference_states import (
     SteinerFrontierState,
     canonicalize_steiner,
@@ -93,9 +92,9 @@ class TestSolve:
             inst = gen_instance(8, 4, 50, 20, rng.randint(0, 10**6))
             sol = solve_steiner(inst)
             uf = UnionFind()
-            for e in sol.tree.edges:
+            for e, (p, q) in zip(sol.tree.edges, segment_points(inst, sol.tree.edges)):
                 assert e.mult == 1
-                assert uf.union(e.p1, e.p2)  # acyclic: no edge joins a component to itself
+                assert uf.union(p, q)  # acyclic: no edge joins a component to itself
             root = uf.find(inst.points[0])
             assert all(uf.find(p) == root for p in inst.points)
 

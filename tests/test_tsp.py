@@ -147,10 +147,10 @@ class TestTourExtraction:
     def test_unit_square(self):
         pts = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
         edges = (
-            SolutionEdge("H", 1, 1, pts[0], pts[1], 1),
-            SolutionEdge("H", 2, 1, pts[2], pts[3], 1),
-            SolutionEdge("V", 1, 1, pts[0], pts[2], 1),
-            SolutionEdge("V", 1, 2, pts[1], pts[3], 1),
+            SolutionEdge("H", 1, 1, 1),
+            SolutionEdge("H", 2, 1, 1),
+            SolutionEdge("V", 1, 1, 1),
+            SolutionEdge("V", 1, 2, 1),
         )
         sub = Subgraph(edges, 4)
         inst = make_instance([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -162,9 +162,22 @@ class TestTourExtraction:
 
     def test_single_doubled_edge(self):
         a, b = Point(0, 0), Point(4, 0)
-        sub = Subgraph((SolutionEdge("H", 1, 1, a, b, 2),), 8)
+        sub = Subgraph((SolutionEdge("H", 1, 1, 2),), 8)
         tour = orient_tour(sub, make_instance([(0, 0), (4, 0)]))
         assert tour == (a, b, a)
+
+    def test_walk_takes_the_lowest_then_leftmost_neighbour_first(self):
+        # every segment doubled: the walk's choices at (1, 1), (1, 2) and
+        # (2, 1) follow the (y, x) order of the other end, not the edge order
+        inst = make_instance([(x, y) for x in range(3) for y in range(3)])
+        names = [("H", 1, 2), ("H", 2, 2), ("H", 3, 1), ("H", 3, 2), ("V", 1, 1),
+                 ("V", 1, 3), ("V", 2, 1), ("V", 2, 2), ("V", 2, 3)]
+        sub = Subgraph(tuple(SolutionEdge(k, r, c, 2) for k, r, c in names), 18)
+        validate_tour_subgraph(sub, inst)
+        walk = [(0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (2, 1), (2, 0), (1, 0), (2, 0),
+                (2, 1), (1, 1), (1, 2), (2, 2), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1),
+                (0, 0)]
+        assert orient_tour(sub, inst) == tuple(Point(x, y) for x, y in walk)
 
     def test_walk_length_equals_optimum(self):
         rng = random.Random(8)
