@@ -44,28 +44,33 @@ def render_svg(instance: Instance, edges: list[SolutionEdge] | None = None) -> s
         f'width="{width:.2f}" height="{height:.2f}" '
         f'viewBox="0 0 {width:.2f} {height:.2f}">'
     ]
-    for x in xs:
+    # each column's and row's coordinate, formatted once for every line and
+    # point on it
+    fx = {x: f"{sx(x):.2f}" for x in xs}
+    fy = {y: f"{sy(y):.2f}" for y in ys}
+    bottom, top, left, right = fy[ys[0]], fy[ys[-1]], fx[xs[0]], fx[xs[-1]]
+    for x in fx.values():
         parts.append(
-            f'<line x1="{sx(x):.2f}" y1="{sy(ys[0]):.2f}" '
-            f'x2="{sx(x):.2f}" y2="{sy(ys[-1]):.2f}" {_GRID_STYLE}/>'
+            f'<line x1="{x}" y1="{bottom}" x2="{x}" y2="{top}" {_GRID_STYLE}/>'
         )
-    for y in ys:
+    for y in fy.values():
         parts.append(
-            f'<line x1="{sx(xs[0]):.2f}" y1="{sy(y):.2f}" '
-            f'x2="{sx(xs[-1]):.2f}" y2="{sy(y):.2f}" {_GRID_STYLE}/>'
+            f'<line x1="{left}" y1="{y}" x2="{right}" y2="{y}" {_GRID_STYLE}/>'
         )
     for kind, row, col, mult in edges:
-        x1, y1 = sx(xs[col - 1]), sy(ys[row - 1])
-        x2, y2 = (x1, sy(ys[row])) if kind == "V" else (sx(xs[col]), y1)
+        x, y = xs[col - 1], ys[row - 1]
+        x1, y1 = fx[x], fy[y]
+        x2, y2 = (x1, fy[ys[row]]) if kind == "V" else (fx[xs[col]], y1)
         for off in (0.0,) if mult == 1 else (-2.0, 2.0):
-            dx, dy = (off, 0.0) if kind == "V" else (0.0, off)
+            # a doubled edge's two strokes, offset across it
+            if off and kind == "V":
+                x1 = x2 = f"{sx(x) + off:.2f}"
+            elif off:
+                y1 = y2 = f"{sy(y) + off:.2f}"
             parts.append(
-                f'<line x1="{x1 + dx:.2f}" y1="{y1 + dy:.2f}" '
-                f'x2="{x2 + dx:.2f}" y2="{y2 + dy:.2f}" {_EDGE_STYLE}/>'
+                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {_EDGE_STYLE}/>'
             )
     for p in instance.points:
-        parts.append(
-            f'<circle cx="{sx(p.x):.2f}" cy="{sy(p.y):.2f}" r="4" fill="#222222"/>'
-        )
+        parts.append(f'<circle cx="{fx[p.x]}" cy="{fy[p.y]}" r="4" fill="#222222"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

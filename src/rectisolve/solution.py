@@ -67,6 +67,13 @@ def edge_ends(edges, xs: list[int], ys: list[int], error: type[Exception]) -> li
     return ends
 
 
+def locate(edges, instance: Instance, error: type[Exception]) -> tuple:
+    """The instance's axes and the ends of every edge on them: ``grid_axes``
+    and ``edge_ends``, which raises ``error``."""
+    xs, ys = grid_axes(instance)
+    return xs, ys, edge_ends(edges, xs, ys, error)
+
+
 def edges_from_moves(
     grid: HananGrid, moves: list[tuple[EdgeEvent, int]]
 ) -> list[SolutionEdge]:
@@ -125,9 +132,12 @@ def parse_solution(text: str) -> tuple[int, list[SolutionEdge]]:
     return length, edges
 
 
-def check_subgraph(sub: Subgraph, instance: Instance, max_mult: int, what: str):
+def check_subgraph(
+    sub: Subgraph, instance: Instance, max_mult: int, what: str, located=None
+):
     """The invariants of both problems' solutions; raises on any violation
-    and returns the degree of every grid vertex, by grid index.
+    and returns the degree of every grid vertex, by grid index. ``located``
+    is the edges' ``locate``, if the caller has it.
 
     Every edge is on the instance's grid with a multiplicity in
     ``1..max_mult``, every terminal is an endpoint, the edges form one
@@ -135,11 +145,11 @@ def check_subgraph(sub: Subgraph, instance: Instance, max_mult: int, what: str):
     instance's empty subgraph holds them all; on any other instance an
     empty subgraph misses a terminal.
     """
-    xs, ys = grid_axes(instance)
+    xs, ys, ends = located or locate(sub.edges, instance, InternalInfeasibleError)
     degree = [0] * (len(xs) * len(ys))
     if not sub.edges and len(instance.points) == 1:
         return degree
-    pairs = iter(edge_ends(sub.edges, xs, ys, InternalInfeasibleError))
+    pairs = iter(ends)
     parent = [-1] * len(degree)  # union-find forest; -1 at a root
 
     def find(v: int) -> int:

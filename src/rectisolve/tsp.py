@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import InternalInfeasibleError, NotEulerianError
 from .geometry import Instance, Point, build_grid, l1
-from .solution import Subgraph, check_subgraph, edge_ends, edges_from_moves
-from .solution import grid_axes, vertex
+from .solution import Subgraph, check_subgraph, edges_from_moves, locate, vertex
 from .states import EVEN, ODD, ZERO, join_rows, set_label
 from . import tables as tables_mod
 from .tables import SweepStats
@@ -126,8 +125,10 @@ def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
     subgraph = tour = None
     if trace:
         subgraph = Subgraph(tuple(edges_from_moves(grid, moves)), length)
-        validate_tour_subgraph(subgraph, instance)
-        tour = orient_tour(subgraph, instance)
+        # the axes and the edges' grid indices, for the checks and the walk
+        located = locate(subgraph.edges, instance, InternalInfeasibleError)
+        validate_tour_subgraph(subgraph, instance, located)
+        tour = orient_tour(subgraph, instance, located)
         walked = sum(l1(tour[k], tour[k + 1]) for k in range(len(tour) - 1))
         if walked != length:
             raise InternalInfeasibleError(
@@ -139,24 +140,25 @@ def solve_tsp(instance: Instance, *, trace: bool = True) -> TspSolution:
 # --- validation and orientation -------------------------------------------
 
 
-def validate_tour_subgraph(subgraph: Subgraph, instance: Instance):
+def validate_tour_subgraph(subgraph: Subgraph, instance: Instance, located=None):
     """The shared solution checks with multiplicities up to 2, and an even
-    degree at every vertex; raises on any violation."""
-    degree = check_subgraph(subgraph, instance, 2, "tour subgraph")
+    degree at every vertex; raises on any violation. ``located`` is the
+    edges' ``solution.locate``, if the caller has it."""
+    degree = check_subgraph(subgraph, instance, 2, "tour subgraph", located)
     odd = [v for v, d in enumerate(degree) if d % 2]
     if odd:
         raise InternalInfeasibleError(f"odd degree at grid vertices {odd[:3]}")
 
 
-def orient_tour(subgraph: Subgraph, instance: Instance) -> Tour:
+def orient_tour(subgraph: Subgraph, instance: Instance, located=None) -> Tour:
     """Orient a valid tour subgraph into a closed walk using every edge
-    instance exactly once, starting at the lowest-leftmost terminal."""
+    instance exactly once, starting at the lowest-leftmost terminal.
+    ``located`` is the edges' ``solution.locate``, if the caller has it."""
     if not subgraph.edges:
         if len(instance.points) == 1:
             return (instance.points[0],)
         raise NotEulerianError("empty subgraph cannot be oriented")
-    xs, ys = grid_axes(instance)
-    pairs = edge_ends(subgraph.edges, xs, ys, NotEulerianError)
+    xs, ys, pairs = located or locate(subgraph.edges, instance, NotEulerianError)
     # each vertex once, by index into ``grid``, its grid index; edge copy k
     # joins ends[2k] and ends[2k + 1], and each vertex lists the copies at it
     index: dict[int, int] = {}
@@ -165,7 +167,7 @@ def orient_tour(subgraph: Subgraph, instance: Instance) -> Tour:
     for e, a, b in zip(subgraph.edges, it, it):
         a, b = index.setdefault(a, len(index)), index.setdefault(b, len(index))
         ends += (a, b) * e.mult
-    del pairs, it  # the ints that ``index`` does not keep
+    del located, pairs, it  # the ints that ``index`` does not keep, unless a caller does
     grid = list(index)
     adjacency: list[list[int]] = [[] for _ in grid]
     for k in range(len(ends) // 2):

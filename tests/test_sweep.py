@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import os
 import subprocess
@@ -21,7 +22,6 @@ from rectisolve.geometry import (
 from rectisolve.states import count_states
 from rectisolve.steiner import solve_steiner
 from rectisolve.tables import (
-    KindTable,
     TableSet,
     VectorResult,
     get_space,
@@ -376,6 +376,22 @@ def test_derived_tables_match_kernel_builds(problem, h):
     assert called == [("V", 1), ("H", 1)]
 
 
+ENTERED_CASES = [(problem, h) for problem in ("tsp", "steiner") for h in range(1, 7)]
+
+
+@pytest.mark.parametrize("problem, h", ENTERED_CASES)
+def test_entered_marks_the_destinations_of_the_open_rows(problem, h):
+    # row 1's H table is kernel-built and every other row's is rotated
+    tableset = TableSet(get_space(problem, h), KERNELS[problem])
+    for kind in kinds(h):
+        table = tableset.get(kind)
+        marked = np.unpackbits(table.entered, count=len(table.keep))
+        assert table.entered.dtype == np.uint8, kind
+        want = np.unique(table.dst[table.opens :])
+        assert np.array_equal(np.flatnonzero(marked), want), kind
+        assert (kind[0] == "H") == (len(want) > 0), kind
+
+
 def test_rotation_refuses_a_space_not_closed_under_it():
     # without (1,-,-), the rotation of (-,-,1) has nowhere to go
     space = get_space("steiner", 3)
@@ -416,7 +432,7 @@ def fake_tableset(rows_by_kind, opens=()):
         dst = np.concatenate((table.dst[:cut], tail[:, 1]))
         moving = tuple(run for run in table.runs if run[0] < cut)
         runs = moving + tables._runs(tail[:, 2], cut)
-        tableset.tables[kind] = KindTable(table.keep, src, dst, runs, cut, table.lower)
+        tableset.tables[kind] = tables._table(table.keep, src, dst, runs, cut)
     return tableset
 
 
@@ -553,6 +569,31 @@ def test_departing_step_takes_the_open_row_into_a_labeled_state():
     assert reconstruct_vector(result, tableset) == [(depart, 1)]
 
 
+def test_departing_step_searches_only_into_an_open_destination(monkeypatch):
+    # at an event that departs a terminal on row 1, state 2 (0,1) opens into
+    # state 4 (1,2) at m=1, and state 3 (1,1), whose row 1 is labeled too,
+    # keeps itself at m=0 and is entered by no row. State 3's step settles
+    # on its own bit without a search; state 4's searches the open run.
+    inf = 2**30
+    tableset = fake_tableset({("H", 1): []}, [(2, 4, 1)])
+    table = tableset.get(("H", 1))
+    searched = []
+
+    def spy(seq, x, lo, hi):
+        searched.append((x, lo, hi))
+        return bisect.bisect_left(seq, x, lo, hi)
+
+    monkeypatch.setattr(tables, "bisect_left", spy)
+    depart = EdgeEvent("H", 1, 1, 2)
+    layers = [np.array([inf, inf, 3, 5, inf]), np.array([inf, inf, inf, 5, 5])]
+    for idx, want, runs in ((3, [], []), (4, [(depart, 1)], [(4, table.opens, 1)])):
+        searched.clear()
+        result = traced(tableset, 5, idx, layers, [depart], [("H", 1)], [True])
+        assert np.unpackbits(result.layers[0])[idx] == (idx == 3)
+        assert reconstruct_vector(result, tableset) == want, idx
+        assert searched == runs, idx
+
+
 REFERENCE_SWEEPS = {
     "tsp": (tsp.TSP, initial_tsp_state, tsp_transition, tsp_accept),
     "steiner": (
@@ -576,11 +617,16 @@ def reference_layers(variant, grid, tableset):
 
 @pytest.mark.parametrize("problem", ["tsp", "steiner"])
 def test_layers_match_reference_sweep(problem):
-    # every event's tight bits are those of the reference sweep's costs,
-    # layer by layer, and the final row holds its last layer's costs
+    # every event's tight bits, own and moving candidates from one compare,
+    # are those of the reference sweep's costs, layer by layer, and the
+    # final row holds its last layer's costs; the last instance is the
+    # small stream's size, n=80 h=5
     variant = REFERENCE_SWEEPS[problem][0]
-    for seed in range(6):
-        inst = gen_instance(4 + seed, 2 + seed % 3, 60, 40, 700 + seed)
+    instances = [
+        gen_instance(4 + seed, 2 + seed % 3, 60, 40, 700 + seed) for seed in range(6)
+    ]
+    opened = 0
+    for inst in instances + [gen_instance(80, 5, 320, 20, 1)]:
         grid = build_grid(inst)
         got, _ = tables.solve_grid(variant, grid, trace=True)
         tableset = get_tableset(variant, grid.h)
@@ -590,6 +636,12 @@ def test_layers_match_reference_sweep(problem):
         assert len(got.layers) == len(blocks)
         for e, (a, b) in enumerate(zip(got.layers, blocks)):
             assert a.dtype == np.uint8 and a.tolist() == b.tolist(), e
+        n = len(tableset.space.keys)
+        for block, kind, departs in zip(got.layers, got.kinds, got.departs):
+            table = tableset.get(kind)
+            if departs:
+                bits = np.unpackbits(block, count=n + len(table.src))
+                opened += np.count_nonzero(bits[n + table.opens :])
         # one tuple per kind, shared by its events, built column by column in
         # the order of edge_schedule
         assert len(set(map(id, got.kinds))) <= 2 * grid.h - 1
@@ -603,6 +655,7 @@ def test_layers_match_reference_sweep(problem):
         assert type(got.stats.max_layer_states) is int  # JSON-serialisable
         assert type(got.stats.total_expansions) is int
         assert got.cost == want.cost
+    assert opened  # some tight open rows, at events that depart a terminal
 
 
 @pytest.mark.parametrize("problem", ["tsp", "steiner"])
