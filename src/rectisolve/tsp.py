@@ -167,7 +167,7 @@ def orient_tour(subgraph: Subgraph, instance: Instance, located=None) -> Tour:
     for e, a, b in zip(subgraph.edges, it, it):
         a, b = index.setdefault(a, len(index)), index.setdefault(b, len(index))
         ends += (a, b) * e.mult
-    del located, pairs, it  # the ints that ``index`` does not keep, unless a caller does
+    del located, pairs, it  # the ints that ``index`` does not keep
     grid = list(index)
     adjacency: list[list[int]] = [[] for _ in grid]
     for k in range(len(ends) // 2):
